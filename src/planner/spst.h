@@ -98,9 +98,6 @@ struct SpstOptions {
   // Pool to run speculation workers on; nullptr = ThreadPool::Shared().
   // The pool only needs to exist for the duration of PlanClasses.
   ThreadPool* pool = nullptr;
-
-  // Used by the DgclOptions legacy-shim to detect a customized struct.
-  bool operator==(const SpstOptions&) const = default;
 };
 
 // How the chunks of the last PlanClasses call were committed (parallel path;

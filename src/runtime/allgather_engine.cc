@@ -548,11 +548,8 @@ Status AllgatherEngine::RunDevice(uint32_t device, uint32_t dim, bool backward,
   return Status::Ok();
 }
 
-Result<std::vector<EmbeddingMatrix>> AllgatherEngine::RunPass(
-    std::vector<EmbeddingMatrix> buffers, uint32_t dim, bool backward,
-    const ChunkConsumer* on_chunk) const {
-  // Connection staging buffers are shared engine state; passes serialize.
-  std::lock_guard<std::mutex> pass_lock(*pass_mutex_);
+Status AllgatherEngine::RunPass(std::vector<EmbeddingMatrix>& buffers, uint32_t dim,
+                                bool backward, const ChunkConsumer* on_chunk) const {
   connections_.PrepareBuffers(dim);
   PassState state(relation_->num_devices, plan_, options_);
   state.pass_index = pass_count_++;
@@ -610,7 +607,7 @@ Result<std::vector<EmbeddingMatrix>> AllgatherEngine::RunPass(
     return verdict;
   }
   last_failure_.reset();
-  return buffers;
+  return Status::Ok();
 }
 
 std::optional<PassFailure> AllgatherEngine::last_failure() const {
@@ -663,7 +660,9 @@ Result<std::vector<EmbeddingMatrix>> AllgatherEngine::ForwardImpl(
     }
     buffers.push_back(std::move(m));
   }
-  return RunPass(std::move(buffers), dim, /*backward=*/false, on_chunk);
+  std::lock_guard<std::mutex> pass_lock(*pass_mutex_);
+  DGCL_RETURN_IF_ERROR(RunPass(buffers, dim, /*backward=*/false, on_chunk));
+  return buffers;
 }
 
 Result<std::vector<EmbeddingMatrix>> AllgatherEngine::Backward(
@@ -687,27 +686,32 @@ Result<std::vector<EmbeddingMatrix>> AllgatherEngine::Backward(
     return Status::InvalidArgument("no gradients provided");
   }
 
-  std::vector<EmbeddingMatrix> buffers;
-  buffers.reserve(relation_->num_devices);
+  // Every row of every reused buffer is rewritten below (provided rows
+  // copied, the rest — forwarding extras and absent rows — zeroed), so a pass
+  // never sees state left by an earlier call and its result is the same as
+  // on freshly zeroed matrices.
+  std::lock_guard<std::mutex> pass_lock(*pass_mutex_);
+  bwd_buffers_.resize(relation_->num_devices);
   for (uint32_t d = 0; d < relation_->num_devices; ++d) {
-    EmbeddingMatrix m = EmbeddingMatrix::Zero(slot_counts_[d], dim);
-    const uint32_t provided = std::min<uint32_t>(slot_grads[d].rows, slot_counts_[d]);
-    for (uint32_t r = 0; r < provided; ++r) {
-      PackRow(m.Row(r), slot_grads[d].Row(r), dim);
-    }
-    buffers.push_back(std::move(m));
+    EmbeddingMatrix& m = bwd_buffers_[d];
+    m.rows = slot_counts_[d];
+    m.dim = dim;
+    m.data.resize(static_cast<size_t>(m.rows) * dim);
+    const size_t provided =
+        static_cast<size_t>(std::min<uint32_t>(slot_grads[d].rows, m.rows)) * dim;
+    std::copy_n(slot_grads[d].data.begin(), provided, m.data.begin());
+    std::fill(m.data.begin() + provided, m.data.end(), 0.0f);
   }
-  DGCL_ASSIGN_OR_RETURN(buffers,
-                        RunPass(std::move(buffers), dim, /*backward=*/true, nullptr));
+  DGCL_RETURN_IF_ERROR(RunPass(bwd_buffers_, dim, /*backward=*/true, nullptr));
 
   std::vector<EmbeddingMatrix> out;
   out.reserve(relation_->num_devices);
   for (uint32_t d = 0; d < relation_->num_devices; ++d) {
-    const uint32_t locals = static_cast<uint32_t>(relation_->local_vertices[d].size());
-    EmbeddingMatrix m = EmbeddingMatrix::Zero(locals, dim);
-    for (uint32_t r = 0; r < locals; ++r) {
-      PackRow(m.Row(r), buffers[d].Row(r), dim);
-    }
+    EmbeddingMatrix m;
+    m.rows = static_cast<uint32_t>(relation_->local_vertices[d].size());
+    m.dim = dim;
+    const auto first = bwd_buffers_[d].data.begin();
+    m.data.assign(first, first + static_cast<size_t>(m.rows) * dim);
     out.push_back(std::move(m));
   }
   return out;

@@ -185,7 +185,11 @@ class AllgatherEngine {
 
   // `slot_grads[d]` has the same shape as Forward's output for device d
   // (extras rows zero-extended internally if absent). Returns per device the
-  // accumulated gradients for its local vertices only.
+  // accumulated gradients for its local vertices only. The gradients are
+  // accumulated in engine-owned per-device slot buffers that are sized on
+  // first use and reused by every later call, so the engine holds memory for
+  // the largest slot matrices it has seen; every call rewrites all of their
+  // rows, so results never depend on earlier calls.
   Result<std::vector<EmbeddingMatrix>> Backward(
       const std::vector<EmbeddingMatrix>& slot_grads) const;
 
@@ -217,8 +221,9 @@ class AllgatherEngine {
 
   Result<std::vector<EmbeddingMatrix>> ForwardImpl(const std::vector<EmbeddingMatrix>& local,
                                                    const ChunkConsumer* on_chunk) const;
-  Result<std::vector<EmbeddingMatrix>> RunPass(std::vector<EmbeddingMatrix> buffers, uint32_t dim,
-                                               bool backward, const ChunkConsumer* on_chunk) const;
+  // Runs one pass over `buffers` in place. The caller holds *pass_mutex_.
+  Status RunPass(std::vector<EmbeddingMatrix>& buffers, uint32_t dim, bool backward,
+                 const ChunkConsumer* on_chunk) const;
   Status RunDevice(uint32_t device, uint32_t dim, bool backward,
                    std::vector<EmbeddingMatrix>& buffers, struct PassState& state,
                    const ChunkConsumer* on_chunk) const;
@@ -228,14 +233,18 @@ class AllgatherEngine {
   EngineOptions options_;
   CompiledPlan plan_;
   // Mutable: connections own per-op staging buffers that are resized at pass
-  // start, so passes on one engine are serialized by pass_mutex_ (concurrent
-  // Forward/Backward calls are safe, they just queue). Heap-held so the
-  // engine stays movable.
+  // start, and bwd_buffers_ is rewritten by every Backward, so passes on one
+  // engine are serialized by pass_mutex_ (concurrent Forward/Backward calls
+  // are safe, they just queue). Backward holds it from filling bwd_buffers_
+  // until its results are copied out. Heap-held so the engine stays movable.
   mutable ConnectionTable connections_;
   std::unique_ptr<std::mutex> pass_mutex_ = std::make_unique<std::mutex>();
-  // Both guarded by pass_mutex_ (written at pass end, read via accessors).
+  // All guarded by pass_mutex_. pass_count_ and last_failure_ are written at
+  // pass end and read via accessors; bwd_buffers_ holds Backward's per-device
+  // slot matrices across calls (capacity is kept when dim shrinks).
   mutable uint64_t pass_count_ = 0;
   mutable std::optional<PassFailure> last_failure_;
+  mutable std::vector<EmbeddingMatrix> bwd_buffers_;
   std::vector<std::unordered_map<VertexId, uint32_t>> slots_;  // per device
   std::vector<uint32_t> slot_counts_;
 };

@@ -1,8 +1,11 @@
 #include "runtime/allgather_engine.h"
 
+#include <atomic>
 #include <bit>
 #include <cmath>
+#include <cstring>
 #include <map>
+#include <thread>
 #include <tuple>
 
 #include <gtest/gtest.h>
@@ -56,6 +59,43 @@ struct Fixture {
     return local;
   }
 };
+
+// Slot gradients at `dim` over each device's contract slots, or over all its
+// slots when `with_extras` (forwarding extras non-zero too). Every value is
+// distinct per (salt, device, row, column) and non-zero, so stale or missing
+// rows change the result.
+std::vector<EmbeddingMatrix> MakeSlotGrads(const AllgatherEngine& engine, uint32_t devices,
+                                           uint32_t dim, float salt, bool with_extras) {
+  std::vector<EmbeddingMatrix> grads;
+  for (uint32_t d = 0; d < devices; ++d) {
+    EmbeddingMatrix g = EmbeddingMatrix::Zero(
+        with_extras ? engine.NumSlots(d) : engine.NumContractSlots(d), dim);
+    for (uint32_t r = 0; r < g.rows; ++r) {
+      for (uint32_t c = 0; c < dim; ++c) {
+        g.Row(r)[c] = salt + 0.5f * static_cast<float>(d) + 0.25f * static_cast<float>(r) +
+                      0.125f * static_cast<float>(c + 1);
+      }
+    }
+    grads.push_back(std::move(g));
+  }
+  return grads;
+}
+
+// Compares bit patterns, not float values: -0.0f == 0.0f and NaN != NaN
+// would hide or invent differences.
+::testing::AssertionResult BitwiseEqual(const std::vector<EmbeddingMatrix>& a,
+                                        const std::vector<EmbeddingMatrix>& b) {
+  if (a.size() != b.size()) {
+    return ::testing::AssertionFailure() << "device counts differ";
+  }
+  for (size_t d = 0; d < a.size(); ++d) {
+    if (a[d].rows != b[d].rows || a[d].dim != b[d].dim || a[d].data.size() != b[d].data.size() ||
+        std::memcmp(a[d].data.data(), b[d].data.data(), a[d].data.size() * sizeof(float)) != 0) {
+      return ::testing::AssertionFailure() << "device " << d << " differs";
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
 
 class EngineSweep : public ::testing::TestWithParam<std::tuple<uint32_t, bool, uint64_t>> {};
 
@@ -190,6 +230,88 @@ TEST(AllgatherEngineTest, SlotLayoutLocalsFirst) {
       EXPECT_EQ(engine->SlotOf(d, remotes[i]), locals.size() + i);
     }
   }
+}
+
+// Backward reuses engine-owned slot buffers across calls. Every call must
+// behave as if on a fresh engine: no rows from an earlier call (a larger dim,
+// non-zero forwarding extras) and no state from a rejected call leak in.
+TEST(AllgatherEngineTest, BackwardBufferReuseNeverLeaksState) {
+  Fixture f = Fixture::Make(16, 120, 71, true);
+  auto engine = AllgatherEngine::Create(f.relation, f.plan, f.topo);
+  ASSERT_TRUE(engine.ok());
+  const uint32_t n = f.relation.num_devices;
+  bool has_extras = false;
+  for (uint32_t d = 0; d < n; ++d) {
+    has_extras |= engine->NumSlots(d) > engine->NumContractSlots(d);
+  }
+  ASSERT_TRUE(has_extras) << "fixture has no forwarding extras to leak";
+  auto expect_fresh_result = [&](const std::vector<EmbeddingMatrix>& grads, const char* step) {
+    auto reused = engine->Backward(grads);
+    ASSERT_TRUE(reused.ok()) << step;
+    auto fresh_engine = AllgatherEngine::Create(f.relation, f.plan, f.topo);
+    ASSERT_TRUE(fresh_engine.ok());
+    auto fresh = fresh_engine->Backward(grads);
+    ASSERT_TRUE(fresh.ok()) << step;
+    EXPECT_TRUE(BitwiseEqual(*reused, *fresh)) << step;
+  };
+
+  expect_fresh_result(MakeSlotGrads(*engine, n, 3, 1.0f, true), "dim 3, non-zero extras");
+  expect_fresh_result(MakeSlotGrads(*engine, n, 5, 2.0f, false), "dim 5, contract rows");
+  expect_fresh_result(MakeSlotGrads(*engine, n, 3, 3.0f, false), "dim 3, contract rows");
+
+  std::vector<EmbeddingMatrix> bad = MakeSlotGrads(*engine, n, 3, 4.0f, false);
+  bad[1] = MakeSlotGrads(*engine, n, 4, 4.0f, false)[1];
+  auto rejected = engine->Backward(bad);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
+
+  // An empty matrix stands for all-zero gradients on that device.
+  std::vector<EmbeddingMatrix> last = MakeSlotGrads(*engine, n, 2, 5.0f, false);
+  last[0] = EmbeddingMatrix{};
+  expect_fresh_result(last, "dim 2 after a rejected call");
+}
+
+// Concurrent callers on one engine queue on the pass lock; each result must
+// equal the result of the same call made serially.
+TEST(AllgatherEngineTest, ConcurrentPassesQueue) {
+  Fixture f = Fixture::Make(4, 60, 72, true);
+  auto engine = AllgatherEngine::Create(f.relation, f.plan, f.topo);
+  ASSERT_TRUE(engine.ok());
+  const uint32_t n = f.relation.num_devices;
+  const auto local = f.MakeLocalEmbeddings(4);
+  const std::vector<EmbeddingMatrix> grads[2] = {MakeSlotGrads(*engine, n, 3, 1.0f, false),
+                                                 MakeSlotGrads(*engine, n, 5, 2.0f, true)};
+  auto forward = engine->Forward(local);
+  ASSERT_TRUE(forward.ok());
+  std::vector<EmbeddingMatrix> backward[2];
+  for (int t = 0; t < 2; ++t) {
+    auto result = engine->Backward(grads[t]);
+    ASSERT_TRUE(result.ok());
+    backward[t] = std::move(*result);
+  }
+
+  constexpr int kIterations = 20;
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> callers;
+  for (int t = 0; t < 2; ++t) {
+    callers.emplace_back([&, t] {
+      for (int i = 0; i < kIterations; ++i) {
+        auto fwd = engine->Forward(local);
+        if (!fwd.ok() || !BitwiseEqual(*fwd, *forward)) {
+          ++mismatches;
+        }
+        auto bwd = engine->Backward(grads[t]);
+        if (!bwd.ok() || !BitwiseEqual(*bwd, backward[t])) {
+          ++mismatches;
+        }
+      }
+    });
+  }
+  for (std::thread& caller : callers) {
+    caller.join();
+  }
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(engine->pass_count(), 3u + 2u * 2u * kIterations);
 }
 
 }  // namespace
