@@ -45,7 +45,8 @@ void RunGpuCount(uint32_t gpus) {
                   TablePrinter::FmtBytes(max_training),
                   TablePrinter::Fmt(table_per_gpu / max_training * 1e3, 3)});
   }
-  std::printf("%s\n", table.Render("(" + std::to_string(gpus) + " GPUs)").c_str());
+  const std::string title = std::string("(").append(std::to_string(gpus)).append(" GPUs)");
+  std::printf("%s\n", table.Render(title).c_str());
 }
 
 }  // namespace

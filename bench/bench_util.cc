@@ -106,7 +106,7 @@ std::string JsonEscape(const std::string& s) {
 }  // namespace
 
 void JsonRecord::AddString(const std::string& key, const std::string& value) {
-  fields.emplace_back(key, "\"" + JsonEscape(value) + "\"");
+  fields.emplace_back(key, std::string("\"").append(JsonEscape(value)).append("\""));
 }
 
 void JsonRecord::AddNumber(const std::string& key, double value) {

@@ -1,11 +1,16 @@
-// A small fixed-size thread pool shared by planning-time machinery.
+// A small fixed-size thread pool shared by planning-time and runtime
+// machinery.
 //
 // Planning is offline but must scale to large graphs (§5.2 discusses SPST
 // running time); the batched planner, the oblivious baselines and the bench
-// harnesses all parallelize over independent work items. They share one
-// process-wide pool (ThreadPool::Shared()) so nested planner invocations
-// never oversubscribe the machine, but callers that need a specific width
-// (e.g. the thread-count sweep bench) can construct their own.
+// harnesses all parallelize over independent work items. The runtime uses it
+// too: AllgatherEngine fills each device's slot buffers before a pass, and
+// copies Backward's local rows out after it, on the pool. They share one
+// process-wide pool (ThreadPool::Shared()) so nested invocations never
+// oversubscribe the machine (ParallelFor's caller claims items itself, so a
+// nested call finishes even when every worker is busy), but callers that
+// need a specific width (e.g. the thread-count sweep bench) can construct
+// their own.
 //
 // The pool runs opaque tasks; determinism is the *caller's* responsibility.
 // ParallelFor provides the common deterministic shape: results indexed by

@@ -9,6 +9,7 @@
 #include <thread>
 
 #include "common/logging.h"
+#include "common/thread_pool.h"
 #include "telemetry/trace.h"
 
 namespace dgcl {
@@ -651,15 +652,23 @@ Result<std::vector<EmbeddingMatrix>> AllgatherEngine::ForwardImpl(
     return Status::InvalidArgument("no embeddings provided");
   }
 
-  std::vector<EmbeddingMatrix> buffers;
-  buffers.reserve(relation_->num_devices);
-  for (uint32_t d = 0; d < relation_->num_devices; ++d) {
-    EmbeddingMatrix m = EmbeddingMatrix::Zero(slot_counts_[d], dim);
-    for (uint32_t r = 0; r < local[d].rows; ++r) {
-      PackRow(m.Row(r), local[d].Row(r), dim);
-    }
-    buffers.push_back(std::move(m));
+  // Allocate here, fill on the shared pool: the per-device copy and
+  // zero-fill (and the page faults of first touch) run in parallel, while
+  // malloc stays on one thread. Same bytes as EmbeddingMatrix::Zero plus a
+  // copy of the local rows.
+  const uint32_t n = relation_->num_devices;
+  std::vector<EmbeddingMatrix> buffers(n);
+  for (uint32_t d = 0; d < n; ++d) {
+    buffers[d].rows = slot_counts_[d];
+    buffers[d].dim = dim;
+    buffers[d].data.reserve(static_cast<size_t>(slot_counts_[d]) * dim);
   }
+  ThreadPool::Shared().ParallelFor(n, [&](uint64_t d) {
+    EmbeddingMatrix& m = buffers[d];
+    const auto first = local[d].data.begin();
+    m.data.assign(first, first + static_cast<size_t>(local[d].rows) * dim);
+    m.data.resize(static_cast<size_t>(m.rows) * dim);  // zeroes the remaining rows
+  });
   std::lock_guard<std::mutex> pass_lock(*pass_mutex_);
   DGCL_RETURN_IF_ERROR(RunPass(buffers, dim, /*backward=*/false, on_chunk));
   return buffers;
@@ -689,31 +698,37 @@ Result<std::vector<EmbeddingMatrix>> AllgatherEngine::Backward(
   // Every row of every reused buffer is rewritten below (provided rows
   // copied, the rest — forwarding extras and absent rows — zeroed), so a pass
   // never sees state left by an earlier call and its result is the same as
-  // on freshly zeroed matrices.
+  // on freshly zeroed matrices. As in ForwardImpl, allocation stays on this
+  // thread and the fills and the copy-out run on the shared pool.
+  const uint32_t n = relation_->num_devices;
   std::lock_guard<std::mutex> pass_lock(*pass_mutex_);
-  bwd_buffers_.resize(relation_->num_devices);
-  for (uint32_t d = 0; d < relation_->num_devices; ++d) {
+  bwd_buffers_.resize(n);
+  for (uint32_t d = 0; d < n; ++d) {
     EmbeddingMatrix& m = bwd_buffers_[d];
     m.rows = slot_counts_[d];
     m.dim = dim;
-    m.data.resize(static_cast<size_t>(m.rows) * dim);
+    m.data.reserve(static_cast<size_t>(m.rows) * dim);
+  }
+  ThreadPool::Shared().ParallelFor(n, [&](uint64_t d) {
+    EmbeddingMatrix& m = bwd_buffers_[d];
     const size_t provided =
         static_cast<size_t>(std::min<uint32_t>(slot_grads[d].rows, m.rows)) * dim;
-    std::copy_n(slot_grads[d].data.begin(), provided, m.data.begin());
-    std::fill(m.data.begin() + provided, m.data.end(), 0.0f);
-  }
+    const auto first = slot_grads[d].data.begin();
+    m.data.assign(first, first + provided);
+    m.data.resize(static_cast<size_t>(m.rows) * dim);  // zeroes every other row
+  });
   DGCL_RETURN_IF_ERROR(RunPass(bwd_buffers_, dim, /*backward=*/true, nullptr));
 
-  std::vector<EmbeddingMatrix> out;
-  out.reserve(relation_->num_devices);
-  for (uint32_t d = 0; d < relation_->num_devices; ++d) {
-    EmbeddingMatrix m;
-    m.rows = static_cast<uint32_t>(relation_->local_vertices[d].size());
-    m.dim = dim;
-    const auto first = bwd_buffers_[d].data.begin();
-    m.data.assign(first, first + static_cast<size_t>(m.rows) * dim);
-    out.push_back(std::move(m));
+  std::vector<EmbeddingMatrix> out(n);
+  for (uint32_t d = 0; d < n; ++d) {
+    out[d].rows = static_cast<uint32_t>(relation_->local_vertices[d].size());
+    out[d].dim = dim;
+    out[d].data.reserve(static_cast<size_t>(out[d].rows) * dim);
   }
+  ThreadPool::Shared().ParallelFor(n, [&](uint64_t d) {
+    const auto first = bwd_buffers_[d].data.begin();
+    out[d].data.assign(first, first + static_cast<size_t>(out[d].rows) * dim);
+  });
   return out;
 }
 

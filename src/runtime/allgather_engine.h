@@ -173,6 +173,10 @@ class AllgatherEngine {
   // relation.remote_vertices[d] order (forwarded-only extras are appended
   // after and are not part of the contract). Fails with kDeadlineExceeded /
   // kUnavailable when a peer dies or a transport exhausts its retries.
+  // The output matrices are allocated on the calling thread and filled (local
+  // rows copied, every other row zeroed) per device on ThreadPool::Shared()
+  // before the pass; the result is bitwise the same as a serial fill. Safe
+  // to call from inside a task of that pool: the caller claims items too.
   Result<std::vector<EmbeddingMatrix>> Forward(const std::vector<EmbeddingMatrix>& local) const;
 
   // Overlapped forward: `on_chunk` fires on the receiving device's pass
@@ -189,7 +193,10 @@ class AllgatherEngine {
   // accumulated in engine-owned per-device slot buffers that are sized on
   // first use and reused by every later call, so the engine holds memory for
   // the largest slot matrices it has seen; every call rewrites all of their
-  // rows, so results never depend on earlier calls.
+  // rows, so results never depend on earlier calls. As in Forward, the
+  // buffers are grown on the calling thread, while the per-device fill and
+  // the copy-out of the local rows run on ThreadPool::Shared(); results stay
+  // bitwise identical to a serial fill and copy.
   Result<std::vector<EmbeddingMatrix>> Backward(
       const std::vector<EmbeddingMatrix>& slot_grads) const;
 

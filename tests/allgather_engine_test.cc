@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/thread_pool.h"
 #include "graph/generators.h"
 #include "partition/multilevel.h"
 #include "planner/baselines.h"
@@ -312,6 +313,59 @@ TEST(AllgatherEngineTest, ConcurrentPassesQueue) {
   }
   EXPECT_EQ(mismatches.load(), 0);
   EXPECT_EQ(engine->pass_count(), 3u + 2u * 2u * kIterations);
+}
+
+// The engine fills and drains its slot buffers with ThreadPool::Shared()'s
+// ParallelFor, so callers running inside tasks of that pool nest it. More
+// tasks than workers share one engine at two dims with forwarding extras;
+// every call must finish (the caller of a nested ParallelFor claims items
+// itself) and match the same call made from the main thread on a fresh
+// engine.
+TEST(AllgatherEngineTest, NestedPoolCallersMatchFreshEngine) {
+  Fixture f = Fixture::Make(16, 120, 71, true);
+  auto engine = AllgatherEngine::Create(f.relation, f.plan, f.topo);
+  ASSERT_TRUE(engine.ok());
+  const uint32_t n = f.relation.num_devices;
+  bool has_extras = false;
+  for (uint32_t d = 0; d < n; ++d) {
+    has_extras |= engine->NumSlots(d) > engine->NumContractSlots(d);
+  }
+  ASSERT_TRUE(has_extras) << "fixture has no forwarding extras";
+
+  const uint32_t tasks = 2 * ThreadPool::Shared().num_threads() + 1;
+  std::vector<std::vector<EmbeddingMatrix>> local(tasks), grads(tasks);
+  std::vector<std::vector<EmbeddingMatrix>> want_fwd(tasks), want_bwd(tasks);
+  for (uint32_t t = 0; t < tasks; ++t) {
+    const uint32_t dim = t % 2 == 0 ? 3 : 5;
+    local[t] = f.MakeLocalEmbeddings(dim);
+    grads[t] = MakeSlotGrads(*engine, n, dim, 1.0f + static_cast<float>(t), true);
+    auto fresh_fwd = AllgatherEngine::Create(f.relation, f.plan, f.topo);
+    auto fresh_bwd = AllgatherEngine::Create(f.relation, f.plan, f.topo);
+    ASSERT_TRUE(fresh_fwd.ok() && fresh_bwd.ok());
+    auto fwd = fresh_fwd->Forward(local[t]);
+    auto bwd = fresh_bwd->Backward(grads[t]);
+    ASSERT_TRUE(fwd.ok() && bwd.ok());
+    want_fwd[t] = std::move(*fwd);
+    want_bwd[t] = std::move(*bwd);
+  }
+
+  std::vector<std::vector<EmbeddingMatrix>> got_fwd(tasks), got_bwd(tasks);
+  std::vector<uint8_t> ok(tasks, 0);
+  ThreadPool::Shared().ParallelFor(tasks, [&](uint64_t t) {
+    auto fwd = engine->Forward(local[t]);
+    auto bwd = engine->Backward(grads[t]);
+    if (fwd.ok() && bwd.ok()) {
+      got_fwd[t] = std::move(*fwd);
+      got_bwd[t] = std::move(*bwd);
+      ok[t] = 1;
+    }
+  });
+  for (uint32_t t = 0; t < tasks; ++t) {
+    ASSERT_TRUE(ok[t]) << "task " << t;
+    EXPECT_TRUE(BitwiseEqual(got_fwd[t], want_fwd[t])) << "forward, task " << t;
+    EXPECT_TRUE(BitwiseEqual(got_bwd[t], want_bwd[t])) << "backward, task " << t;
+  }
+  EXPECT_EQ(engine->pass_count(), 2u * tasks);
 }
 
 }  // namespace

@@ -92,9 +92,11 @@ INSTANTIATE_TEST_SUITE_P(Pipelines, PipelineSweep,
                                            PipelineParam{16, 5, true},
                                            PipelineParam{16, 6, false}),
                          [](const auto& info) {
-                           return "g" + std::to_string(info.param.gpus) + "s" +
-                                  std::to_string(info.param.seed) +
-                                  (info.param.dense ? "dense" : "sparse");
+                           return std::string("g")
+                               .append(std::to_string(info.param.gpus))
+                               .append("s")
+                               .append(std::to_string(info.param.seed))
+                               .append(info.param.dense ? "dense" : "sparse");
                          });
 
 TEST(IntegrationTest, SimulatedTimeCorrelatesWithEstimate) {

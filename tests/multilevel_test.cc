@@ -78,8 +78,10 @@ INSTANTIATE_TEST_SUITE_P(Sizes, MultilevelSweep,
                                            SweepParam{1000, 16}, SweepParam{5000, 8},
                                            SweepParam{5000, 16}),
                          [](const auto& info) {
-                           return "n" + std::to_string(info.param.vertices) + "k" +
-                                  std::to_string(info.param.parts);
+                           return std::string("n")
+                               .append(std::to_string(info.param.vertices))
+                               .append("k")
+                               .append(std::to_string(info.param.parts));
                          });
 
 TEST(MultilevelTest, RmatGraphBalanced) {

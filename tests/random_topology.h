@@ -23,7 +23,7 @@ namespace dgcl {
 // (void return so gtest ASSERTs can be used inside.)
 inline void BuildRandomTopology(uint32_t devices, Rng& rng, Topology& topo) {
   for (uint32_t d = 0; d < devices; ++d) {
-    topo.AddDevice({"d" + std::to_string(d), 0, d % 2, d / 2});
+    topo.AddDevice({std::string("d").append(std::to_string(d)), 0, d % 2, d / 2});
   }
   auto random_type = [&rng]() {
     constexpr LinkType kTypes[] = {LinkType::kNvLink2, LinkType::kNvLink1, LinkType::kPcie,
@@ -40,7 +40,8 @@ inline void BuildRandomTopology(uint32_t devices, Rng& rng, Topology& topo) {
       return;
     }
     ConnId direct = topo.AddConnection(
-        {"c" + std::to_string(i) + "_" + std::to_string(j), random_type(), 0.0});
+        {std::string("c").append(std::to_string(i)).append("_").append(std::to_string(j)),
+         random_type(), 0.0});
     std::vector<ConnId> hops = {direct};
     if (rng.UniformDouble() < 0.4) {
       hops.push_back(buses[rng.UniformInt(buses.size())]);  // multi-hop link
@@ -67,7 +68,7 @@ inline void BuildRandomTopology(uint32_t devices, Rng& rng, Topology& topo) {
 // the full Init -> BuildCommInfo -> train -> recover pipeline.
 inline void BuildRandomFullyConnectedTopology(uint32_t devices, Rng& rng, Topology& topo) {
   for (uint32_t d = 0; d < devices; ++d) {
-    topo.AddDevice({"d" + std::to_string(d), 0, d % 2, d / 2});
+    topo.AddDevice({std::string("d").append(std::to_string(d)), 0, d % 2, d / 2});
   }
   auto random_type = [&rng]() {
     constexpr LinkType kTypes[] = {LinkType::kNvLink2, LinkType::kNvLink1, LinkType::kPcie,
@@ -84,7 +85,8 @@ inline void BuildRandomFullyConnectedTopology(uint32_t devices, Rng& rng, Topolo
         continue;
       }
       ConnId direct = topo.AddConnection(
-          {"c" + std::to_string(i) + "_" + std::to_string(j), random_type(), 0.0});
+          {std::string("c").append(std::to_string(i)).append("_").append(std::to_string(j)),
+           random_type(), 0.0});
       std::vector<ConnId> hops = {direct};
       if (rng.UniformDouble() < 0.4) {
         hops.push_back(buses[rng.UniformInt(buses.size())]);
