@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Builds the repo twice — under ThreadSanitizer and AddressSanitizer — and
 # runs the concurrency-sensitive test binaries under each: the thread pool,
-# the speculative parallel planner (determinism + property suites), the
+# the planner (determinism + property suites, concurrent callers), the
 # allgather engine, the transport/coordination layer (connection retry and
 # fault-injection state shared across device threads), the chunked-overlap
 # conformance suite (TSan is the gate for the per-chunk ready-flag protocol:

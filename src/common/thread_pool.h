@@ -1,16 +1,14 @@
 // A small fixed-size thread pool shared by planning-time and runtime
 // machinery.
 //
-// Planning is offline but must scale to large graphs (§5.2 discusses SPST
-// running time); the batched planner, the oblivious baselines and the bench
-// harnesses all parallelize over independent work items. The runtime uses it
-// too: AllgatherEngine fills each device's slot buffers before a pass, and
-// copies Backward's local rows out after it, on the pool. They share one
-// process-wide pool (ThreadPool::Shared()) so nested invocations never
-// oversubscribe the machine (ParallelFor's caller claims items itself, so a
-// nested call finishes even when every worker is busy), but callers that
-// need a specific width (e.g. the thread-count sweep bench) can construct
-// their own.
+// Relation building, class-plan expansion, plan compilation, hierarchical
+// partitioning and the epoch simulator parallelize over independent work
+// items. The runtime uses it too: AllgatherEngine fills each device's slot
+// buffers before a pass, and copies Backward's local rows out after it, on
+// the pool. They share one process-wide pool (ThreadPool::Shared()) so nested
+// invocations never oversubscribe the machine (ParallelFor's caller claims
+// items itself, so a nested call finishes even when every worker is busy),
+// but callers that need a specific width can construct their own.
 //
 // The pool runs opaque tasks; determinism is the *caller's* responsibility.
 // ParallelFor provides the common deterministic shape: results indexed by
@@ -56,10 +54,6 @@ class ThreadPool {
   // so concurrency-dependent code paths are exercised even on 1-core CI).
   // Created on first use; never destroyed before exit.
   static ThreadPool& Shared();
-
-  // Maps a user-facing thread-count knob to an effective count:
-  // 0 -> hardware concurrency (>= 1), anything else verbatim.
-  static uint32_t ResolveThreadCount(uint32_t requested);
 
  private:
   void WorkerLoop();

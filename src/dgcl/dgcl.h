@@ -49,9 +49,8 @@ struct DgclOptions {
   // registered strategy and commit the cost-model winner (the per-candidate
   // scores land in PlanArtifacts::selection). planner.spst carries the SPST
   // knobs, including max_class_units (the class-batching chunk bound; 0
-  // recovers per-vertex planning for ablations) and num_threads (parallel
-  // planning; the plan is bit-identical for every thread count).
-  // (The pre-PR-6 top-level `spst` spelling is gone; set planner.spst. Init
+  // recovers per-vertex planning for ablations).
+  // (The old top-level `spst` spelling is gone; set planner.spst. Init
   // validates the planner block and fails with an actionable error before
   // any planning runs.)
   PlannerOptions planner;

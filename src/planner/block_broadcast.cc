@@ -6,7 +6,7 @@
 #include <utility>
 #include <vector>
 
-#include "planner/class_parallel.h"
+#include "planner/per_class.h"
 
 namespace dgcl {
 namespace {
@@ -66,8 +66,8 @@ Result<ClassPlan> BlockBroadcastPlanner::PlanClasses(const CommClasses& classes,
   DGCL_RETURN_IF_ERROR(options_.Validate());
   const BroadcastVariant variant = variant_;
   const BroadcastOptions options = options_;
-  return internal::PlanClassesParallel(
-      classes, topo, bytes_per_unit, options_.num_threads, name(),
+  return internal::PlanEachClass(
+      classes, topo, bytes_per_unit, name(),
       [&topo, variant, options](const CommClass& cls, ClassTree& tree) -> Status {
         const std::vector<uint32_t> dests = MaskToDevices(cls.mask);
         if (variant == BroadcastVariant::k1D) {

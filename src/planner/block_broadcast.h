@@ -22,9 +22,8 @@
 //    once per group instead of once per destination — CAGNET's c-fold
 //    communication reduction with c = devices per group.
 //
-// Both are load-oblivious: class trees are independent, planned in parallel
-// on the shared pool with slot-indexed writes (bit-identical for every thread
-// count), and priced after the fact with the shared CostModel
+// Both are load-oblivious: each class tree is derived from the class alone,
+// and the finished plan is priced after the fact with the shared CostModel
 // (ClassPlan::planned_cost_seconds via ReplayClassPlanCost).
 
 #ifndef DGCL_PLANNER_BLOCK_BROADCAST_H_
@@ -45,9 +44,6 @@ struct BroadcastOptions {
   // for single-machine topologies where the QPI hop between sockets is the
   // scarce medium, the way the NIC is across machines.
   bool group_by_socket = false;
-
-  // 1 = serial (default), 0 = hardware concurrency, else that many workers.
-  uint32_t num_threads = 1;
 
   bool operator==(const BroadcastOptions&) const = default;
 

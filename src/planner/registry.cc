@@ -57,14 +57,14 @@ PlannerRegistry& PlannerRegistry::Global() {
     must("spst", [](const PlannerOptions& o) -> std::unique_ptr<Planner> {
       return std::make_unique<SpstPlanner>(o.spst);
     });
-    must("p2p", [](const PlannerOptions& o) -> std::unique_ptr<Planner> {
-      return std::make_unique<PeerToPeerPlanner>(o.spst.num_threads);
+    must("p2p", [](const PlannerOptions&) -> std::unique_ptr<Planner> {
+      return std::make_unique<PeerToPeerPlanner>();
     });
-    must("ring", [](const PlannerOptions& o) -> std::unique_ptr<Planner> {
-      return std::make_unique<RingPlanner>(o.spst.num_threads);
+    must("ring", [](const PlannerOptions&) -> std::unique_ptr<Planner> {
+      return std::make_unique<RingPlanner>();
     });
-    must("swap", [](const PlannerOptions& o) -> std::unique_ptr<Planner> {
-      return std::make_unique<SwapPlanner>(o.spst.num_threads);
+    must("swap", [](const PlannerOptions&) -> std::unique_ptr<Planner> {
+      return std::make_unique<SwapPlanner>();
     });
     must("broadcast-1d", [](const PlannerOptions& o) -> std::unique_ptr<Planner> {
       return std::make_unique<BlockBroadcastPlanner>(BroadcastVariant::k1D, o.broadcast);

@@ -1,15 +1,17 @@
 // Conformance suite over every PlannerRegistry strategy: whatever is
 // registered — built-in or added later — must produce valid plans, compile
 // identically via the class and per-vertex paths, be deterministic across
-// runs and thread counts, and carry its provenance through plan_io. New
+// runs and calling threads, and carry its provenance through plan_io. New
 // planners get all of this for free by registering a factory.
 
 #include <cstdio>
 #include <filesystem>
+#include <future>
 
 #include <gtest/gtest.h>
 
 #include "comm/plan_io.h"
+#include "common/thread_pool.h"
 #include "graph/generators.h"
 #include "partition/partitioner.h"
 #include "planner/cost_model.h"
@@ -42,13 +44,6 @@ Workload MakeWorkload(uint32_t num_gpus, uint32_t machines = 1, uint64_t seed = 
   w.relation = *BuildCommRelation(w.graph, *hash.Partition(w.graph, w.topo.num_devices()));
   w.classes = BuildCommClasses(w.relation);
   return w;
-}
-
-PlannerOptions OptionsWithThreads(uint32_t threads) {
-  PlannerOptions o;
-  o.spst.num_threads = threads;
-  o.broadcast.num_threads = threads;
-  return o;
 }
 
 bool SamePlan(const ClassPlan& a, const ClassPlan& b) {
@@ -89,7 +84,7 @@ class PlannerConformanceTest : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(PlannerConformanceTest, ProducesValidPlans) {
   for (const Workload& w : {MakeWorkload(8), MakeWorkload(4, 2, 3)}) {
-    auto planner = PlannerRegistry::Global().Create(GetParam(), OptionsWithThreads(1));
+    auto planner = PlannerRegistry::Global().Create(GetParam(), PlannerOptions{});
     ASSERT_TRUE(planner.ok());
     auto plan = (*planner)->PlanClasses(w.classes, w.topo, 1024);
     ASSERT_TRUE(plan.ok()) << plan.status().ToString();
@@ -103,7 +98,7 @@ TEST_P(PlannerConformanceTest, ProducesValidPlans) {
 
 TEST_P(PlannerConformanceTest, ClassCompileMatchesExpandedCompile) {
   Workload w = MakeWorkload(8, 1, 7);
-  auto planner = PlannerRegistry::Global().Create(GetParam(), OptionsWithThreads(1));
+  auto planner = PlannerRegistry::Global().Create(GetParam(), PlannerOptions{});
   ASSERT_TRUE(planner.ok());
   auto plan = (*planner)->PlanClasses(w.classes, w.topo, 1024);
   ASSERT_TRUE(plan.ok());
@@ -114,23 +109,27 @@ TEST_P(PlannerConformanceTest, ClassCompileMatchesExpandedCompile) {
   EXPECT_TRUE(ValidateCompiledPlan(direct, w.relation, w.topo).ok());
 }
 
-TEST_P(PlannerConformanceTest, DeterministicAcrossRunsAndThreads) {
+TEST_P(PlannerConformanceTest, DeterministicAcrossRunsAndCallers) {
   Workload w = MakeWorkload(8, 1, 11);
-  auto plan_with = [&](uint32_t threads) {
-    auto planner = PlannerRegistry::Global().Create(GetParam(), OptionsWithThreads(threads));
+  auto plan_once = [&] {
+    auto planner = PlannerRegistry::Global().Create(GetParam(), PlannerOptions{});
     EXPECT_TRUE(planner.ok());
     auto plan = (*planner)->PlanClasses(w.classes, w.topo, 1024);
     EXPECT_TRUE(plan.ok());
     return std::move(plan).value();
   };
-  ClassPlan first = plan_with(1);
-  EXPECT_TRUE(SamePlan(first, plan_with(1)));
-  EXPECT_TRUE(SamePlan(first, plan_with(4)));
+  ClassPlan first = plan_once();
+  EXPECT_TRUE(SamePlan(first, plan_once()));
+  // Once more on a pool worker: the plan must not depend on the calling
+  // thread.
+  std::promise<ClassPlan> from_pool;
+  ThreadPool::Shared().Submit([&] { from_pool.set_value(plan_once()); });
+  EXPECT_TRUE(SamePlan(first, from_pool.get_future().get()));
 }
 
 TEST_P(PlannerConformanceTest, PlanIoRoundTripPreservesProvenance) {
   Workload w = MakeWorkload(8, 1, 13);
-  auto planner = PlannerRegistry::Global().Create(GetParam(), OptionsWithThreads(1));
+  auto planner = PlannerRegistry::Global().Create(GetParam(), PlannerOptions{});
   ASSERT_TRUE(planner.ok());
   auto plan = (*planner)->PlanClasses(w.classes, w.topo, 1024);
   ASSERT_TRUE(plan.ok());
