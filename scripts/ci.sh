@@ -51,8 +51,9 @@ cd "$(dirname "$0")/.."
 
 TIER="${1:-all}"
 
+# Warnings fail the build (-Werror on every target).
 build() {
-  cmake -B build -S . >/dev/null
+  cmake -B build -S . -DCMAKE_COMPILE_WARNING_AS_ERROR=ON >/dev/null
   cmake --build build -j "$(nproc)"
 }
 

@@ -9,10 +9,10 @@
 #define DGCL_COMMON_STATUS_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
-#include <variant>
 
 namespace dgcl {
 
@@ -83,23 +83,17 @@ class Status {
 template <typename T>
 class Result {
  public:
-  Result(T value) : storage_(std::move(value)) {}           // NOLINT(google-explicit-constructor)
-  Result(Status status) : storage_(std::move(status)) {}    // NOLINT(google-explicit-constructor)
+  Result(T value) : value_(std::move(value)) {}           // NOLINT(google-explicit-constructor)
+  Result(Status status) : status_(std::move(status)) {}  // NOLINT(google-explicit-constructor)
 
-  bool ok() const { return std::holds_alternative<T>(storage_); }
+  bool ok() const { return value_.has_value(); }
 
-  const Status& status() const {
-    static const Status kOk;
-    if (ok()) {
-      return kOk;
-    }
-    return std::get<Status>(storage_);
-  }
+  const Status& status() const { return status_; }
 
-  // Precondition: ok(). Violations abort via the CHECK in value_impl.
-  T& value() & { return std::get<T>(storage_); }
-  const T& value() const& { return std::get<T>(storage_); }
-  T&& value() && { return std::get<T>(std::move(storage_)); }
+  // Precondition: ok(). Violations throw std::bad_optional_access.
+  T& value() & { return value_.value(); }
+  const T& value() const& { return value_.value(); }
+  T&& value() && { return std::move(value_).value(); }
 
   T& operator*() & { return value(); }
   const T& operator*() const& { return value(); }
@@ -107,7 +101,8 @@ class Result {
   const T* operator->() const { return &value(); }
 
  private:
-  std::variant<T, Status> storage_;
+  std::optional<T> value_;
+  Status status_;  // OK whenever value_ is set
 };
 
 // Propagate a non-OK Status out of the enclosing function.

@@ -507,6 +507,19 @@ std::unique_ptr<GnnLayer> MakeLayer(GnnModel model, uint32_t dim_in, uint32_t di
   return nullptr;
 }
 
+std::vector<std::unique_ptr<GnnLayer>> MakeLayerStack(GnnModel model, uint32_t feature_dim,
+                                                      uint32_t hidden_dim, uint32_t num_layers,
+                                                      Rng& rng) {
+  std::vector<std::unique_ptr<GnnLayer>> layers;
+  layers.reserve(num_layers);
+  uint32_t dim_in = feature_dim;
+  for (uint32_t l = 0; l < num_layers; ++l) {
+    layers.push_back(MakeLayer(model, dim_in, hidden_dim, rng));
+    dim_in = hidden_dim;
+  }
+  return layers;
+}
+
 EmbeddingMatrix InferenceForward(const LocalGraph& graph, const EmbeddingMatrix& inputs,
                                  std::span<const std::unique_ptr<GnnLayer>> layers) {
   DGCL_CHECK_EQ(graph.num_slots, graph.num_compute);

@@ -35,9 +35,8 @@ class GnnLayer {
   // Accumulates parameter gradients internally.
   virtual EmbeddingMatrix Backward(const LocalGraph& graph, const EmbeddingMatrix& grad_out) = 0;
 
-  // SGD step with the accumulated (externally averaged) gradients, then
-  // clears them. `grads` must come from ExportGrads-compatible layers when
-  // synchronizing across devices.
+  // SGD step with the accumulated gradients (already summed across
+  // replicas by the trainer), then clears them.
   virtual void Step(float lr) = 0;
 
   // Flat views of parameters and their gradients for cross-device averaging.
@@ -52,12 +51,20 @@ class GnnLayer {
 // from `rng` (pass identically-seeded Rngs to replicate weights).
 std::unique_ptr<GnnLayer> MakeLayer(GnnModel model, uint32_t dim_in, uint32_t dim_out, Rng& rng);
 
+// The seeded layer stack of every model replica: `num_layers` layers of
+// `model` (feature_dim -> hidden_dim -> ... -> hidden_dim), drawn from `rng`
+// in layer order. Stacks built from identically-seeded Rngs hold identical
+// weights; the trainers' ModelReplica draws its head from `rng` next.
+std::vector<std::unique_ptr<GnnLayer>> MakeLayerStack(GnnModel model, uint32_t feature_dim,
+                                                      uint32_t hidden_dim, uint32_t num_layers,
+                                                      Rng& rng);
+
 // Forward-only pass over a layer stack on a fully-local graph (num_slots ==
 // num_compute, e.g. FullLocalGraph of a sampled mini-batch subgraph): each
 // layer's output rows feed the next layer's slots directly, no allgather.
 // Returns the last layer's rows. Layers still cache activations (Forward is
 // non-const), so a stack must not be shared across threads — the serving
-// tier gives each sampler worker its own replica (seeded identically).
+// tier gives each sampler worker its own MakeLayerStack replica.
 EmbeddingMatrix InferenceForward(const LocalGraph& graph, const EmbeddingMatrix& inputs,
                                  std::span<const std::unique_ptr<GnnLayer>> layers);
 

@@ -4,7 +4,6 @@
 
 #include "common/ids.h"
 #include "common/logging.h"
-#include "runtime/allreduce.h"
 #include "telemetry/trace.h"
 
 namespace dgcl {
@@ -15,6 +14,16 @@ EmbeddingMatrix TrimRows(const EmbeddingMatrix& m, uint32_t n) {
   EmbeddingMatrix out = EmbeddingMatrix::Zero(n, m.dim);
   std::copy(m.data.begin(), m.data.begin() + static_cast<size_t>(n) * m.dim, out.data.begin());
   return out;
+}
+
+// A num_slots-row slot matrix holding `acts`' local rows [0, num_compute);
+// the remote rows are left zero for the caller to fill.
+EmbeddingMatrix LocalRowsFirst(const EmbeddingMatrix& acts, const LocalGraph& graph) {
+  EmbeddingMatrix slots = EmbeddingMatrix::Zero(graph.num_slots, acts.dim);
+  std::copy(acts.data.begin(),
+            acts.data.begin() + static_cast<size_t>(graph.num_compute) * acts.dim,
+            slots.data.begin());
+  return slots;
 }
 
 uint32_t CountLabeled(const std::vector<uint32_t>& labels) {
@@ -29,6 +38,91 @@ uint32_t CountLabeled(const std::vector<uint32_t>& labels) {
 
 }  // namespace
 
+ModelReplica ModelReplica::Create(const TrainerOptions& options, uint32_t feature_dim,
+                                  uint32_t num_classes) {
+  ModelReplica replica;
+  Rng rng(options.weight_seed);
+  replica.layers = MakeLayerStack(options.model, feature_dim, options.hidden_dim,
+                                  options.num_layers, rng);
+  replica.head = RandomWeights(options.hidden_dim, num_classes, rng);
+  replica.head_grad = EmbeddingMatrix::Zero(options.hidden_dim, num_classes);
+  return replica;
+}
+
+std::vector<EmbeddingMatrix*> ModelReplica::Grads() {
+  std::vector<EmbeddingMatrix*> grads;
+  for (auto& layer : layers) {
+    for (EmbeddingMatrix* g : layer->Grads()) {
+      grads.push_back(g);
+    }
+  }
+  grads.push_back(&head_grad);
+  return grads;
+}
+
+void ModelReplica::ZeroGrads() {
+  for (EmbeddingMatrix* g : Grads()) {
+    std::fill(g->data.begin(), g->data.end(), 0.0f);
+  }
+}
+
+void ModelReplica::Step(float learning_rate) {
+  for (auto& layer : layers) {
+    layer->Step(learning_rate);
+  }
+  for (size_t i = 0; i < head.data.size(); ++i) {
+    head.data[i] -= learning_rate * head_grad.data[i];
+  }
+  std::fill(head_grad.data.begin(), head_grad.data.end(), 0.0f);
+}
+
+ReplicaWeights ModelReplica::Export() {
+  ReplicaWeights weights;
+  weights.layers.reserve(layers.size());
+  for (auto& layer : layers) {
+    std::vector<EmbeddingMatrix> params;
+    for (EmbeddingMatrix* p : layer->Params()) {
+      params.push_back(*p);
+    }
+    weights.layers.push_back(std::move(params));
+  }
+  weights.head = head;
+  return weights;
+}
+
+Status ModelReplica::Import(const ReplicaWeights& weights) {
+  auto same_shape = [](const EmbeddingMatrix& a, const EmbeddingMatrix& b) {
+    return a.rows == b.rows && a.dim == b.dim;
+  };
+  if (weights.layers.size() != layers.size()) {
+    return Status::InvalidArgument("ImportReplica: layer count mismatch");
+  }
+  std::vector<std::vector<EmbeddingMatrix*>> params(layers.size());
+  for (size_t l = 0; l < layers.size(); ++l) {
+    params[l] = layers[l]->Params();
+    if (params[l].size() != weights.layers[l].size()) {
+      return Status::InvalidArgument("ImportReplica: param count mismatch at layer " +
+                                     std::to_string(l));
+    }
+    for (size_t g = 0; g < params[l].size(); ++g) {
+      if (!same_shape(*params[l][g], weights.layers[l][g])) {
+        return Status::InvalidArgument("ImportReplica: shape mismatch at layer " +
+                                       std::to_string(l));
+      }
+    }
+  }
+  if (!same_shape(head, weights.head)) {
+    return Status::InvalidArgument("ImportReplica: head shape mismatch");
+  }
+  for (size_t l = 0; l < layers.size(); ++l) {
+    for (size_t g = 0; g < params[l].size(); ++g) {
+      *params[l][g] = weights.layers[l][g];
+    }
+  }
+  head = weights.head;
+  return Status::Ok();
+}
+
 Result<MiniBatchModel> MiniBatchModel::Create(uint32_t feature_dim, uint32_t num_classes,
                                               TrainerOptions options) {
   if (feature_dim == 0 || num_classes == 0 || options.num_layers == 0) {
@@ -36,15 +130,7 @@ Result<MiniBatchModel> MiniBatchModel::Create(uint32_t feature_dim, uint32_t num
   }
   MiniBatchModel model;
   model.options_ = options;
-  model.num_classes_ = num_classes;
-  Rng rng(options.weight_seed);
-  uint32_t dim_in = feature_dim;
-  for (uint32_t l = 0; l < options.num_layers; ++l) {
-    model.layers_.push_back(MakeLayer(options.model, dim_in, options.hidden_dim, rng));
-    dim_in = options.hidden_dim;
-  }
-  model.head_w_ = RandomWeights(options.hidden_dim, num_classes, rng);
-  model.head_dw_ = EmbeddingMatrix::Zero(options.hidden_dim, num_classes);
+  model.model_ = ModelReplica::Create(options, feature_dim, num_classes);
   return model;
 }
 
@@ -65,24 +151,19 @@ Result<EpochResult> MiniBatchModel::Pass(bool train, const LocalGraph& block,
   }
   if (train) {
     // Clear any partial accumulations a failed earlier step left behind.
-    for (auto& layer : layers_) {
-      for (EmbeddingMatrix* g : layer->Grads()) {
-        std::fill(g->data.begin(), g->data.end(), 0.0f);
-      }
-    }
-    std::fill(head_dw_.data.begin(), head_dw_.data.end(), 0.0f);
+    model_.ZeroGrads();
   }
   // Fully-local forward: each layer's output rows are the next layer's slot
   // rows directly (the InferenceForward schedule, kept inline here because
   // backward needs the stack's cached activations).
   EmbeddingMatrix acts = inputs;
-  for (auto& layer : layers_) {
+  for (auto& layer : model_.layers) {
     acts = layer->Forward(block, acts);
   }
 
   EpochResult result;
   EmbeddingMatrix logits;
-  Gemm(acts, head_w_, logits);
+  Gemm(acts, model_.head, logits);
   EmbeddingMatrix dlogits;
   result.loss = SoftmaxCrossEntropy(logits, labels, dlogits);
   result.accuracy = Accuracy(logits, labels);
@@ -92,19 +173,13 @@ Result<EpochResult> MiniBatchModel::Pass(bool train, const LocalGraph& block,
 
   EmbeddingMatrix dw;
   GemmTransposeA(acts, dlogits, dw);
-  AddInPlace(head_dw_, dw);
+  AddInPlace(model_.head_grad, dw);
   EmbeddingMatrix dacts;
-  GemmTransposeB(dlogits, head_w_, dacts);
-  for (uint32_t l = static_cast<uint32_t>(layers_.size()); l-- > 0;) {
-    dacts = layers_[l]->Backward(block, dacts);
+  GemmTransposeB(dlogits, model_.head, dacts);
+  for (size_t l = model_.layers.size(); l-- > 0;) {
+    dacts = model_.layers[l]->Backward(block, dacts);
   }
-  for (auto& layer : layers_) {
-    layer->Step(options_.learning_rate);
-  }
-  for (size_t i = 0; i < head_w_.data.size(); ++i) {
-    head_w_.data[i] -= options_.learning_rate * head_dw_.data[i];
-  }
-  std::fill(head_dw_.data.begin(), head_dw_.data.end(), 0.0f);
+  model_.Step(options_.learning_rate);
   return result;
 }
 
@@ -117,46 +192,6 @@ Result<EpochResult> MiniBatchModel::Evaluate(const LocalGraph& block,
                                              const EmbeddingMatrix& inputs,
                                              const std::vector<uint32_t>& labels) {
   return Pass(/*train=*/false, block, inputs, labels);
-}
-
-ReplicaWeights MiniBatchModel::ExportReplica() {
-  ReplicaWeights weights;
-  weights.layers.reserve(layers_.size());
-  for (auto& layer : layers_) {
-    std::vector<EmbeddingMatrix> params;
-    for (EmbeddingMatrix* p : layer->Params()) {
-      params.push_back(*p);
-    }
-    weights.layers.push_back(std::move(params));
-  }
-  weights.head = head_w_;
-  return weights;
-}
-
-Status MiniBatchModel::ImportReplica(const ReplicaWeights& weights) {
-  if (weights.layers.size() != layers_.size()) {
-    return Status::InvalidArgument("ImportReplica: layer count mismatch");
-  }
-  for (size_t l = 0; l < layers_.size(); ++l) {
-    std::vector<EmbeddingMatrix*> params = layers_[l]->Params();
-    if (params.size() != weights.layers[l].size()) {
-      return Status::InvalidArgument("ImportReplica: param count mismatch at layer " +
-                                     std::to_string(l));
-    }
-    for (size_t g = 0; g < params.size(); ++g) {
-      if (params[g]->rows != weights.layers[l][g].rows ||
-          params[g]->dim != weights.layers[l][g].dim) {
-        return Status::InvalidArgument("ImportReplica: shape mismatch at layer " +
-                                       std::to_string(l));
-      }
-      *params[g] = weights.layers[l][g];
-    }
-  }
-  if (head_w_.rows != weights.head.rows || head_w_.dim != weights.head.dim) {
-    return Status::InvalidArgument("ImportReplica: head shape mismatch");
-  }
-  head_w_ = weights.head;
-  return Status::Ok();
 }
 
 Result<DistributedTrainer> DistributedTrainer::Create(
@@ -179,34 +214,64 @@ Result<DistributedTrainer> DistributedTrainer::Create(
   trainer.options_ = options;
   trainer.num_classes_ = num_classes;
 
-  const uint32_t devices = relation.num_devices;
-  trainer.local_graphs_.reserve(devices);
-  trainer.local_features_.reserve(devices);
-  trainer.local_labels_.resize(devices);
-  trainer.layers_.resize(devices);
-  for (uint32_t d = 0; d < devices; ++d) {
-    trainer.local_graphs_.push_back(BuildLocalGraph(graph, relation, d));
+  trainer.devices_.reserve(relation.num_devices);
+  for (uint32_t d = 0; d < relation.num_devices; ++d) {
+    DeviceState dev;
+    dev.graph = BuildLocalGraph(graph, relation, d);
     const auto& locals = relation.local_vertices[d];
-    EmbeddingMatrix feat = EmbeddingMatrix::Zero(static_cast<uint32_t>(locals.size()),
-                                                 features.dim);
+    dev.features = EmbeddingMatrix::Zero(static_cast<uint32_t>(locals.size()), features.dim);
     for (uint32_t i = 0; i < locals.size(); ++i) {
-      std::copy(features.Row(locals[i]), features.Row(locals[i]) + features.dim, feat.Row(i));
+      std::copy(features.Row(locals[i]), features.Row(locals[i]) + features.dim,
+                dev.features.Row(i));
     }
-    trainer.local_features_.push_back(std::move(feat));
     for (VertexId v : locals) {
-      trainer.local_labels_[d].push_back(labels[v]);
+      dev.labels.push_back(labels[v]);
     }
-    // Identical weight replica per device: fresh identically-seeded Rng.
-    Rng rng(options.weight_seed);
-    uint32_t dim_in = features.dim;
-    for (uint32_t l = 0; l < options.num_layers; ++l) {
-      trainer.layers_[d].push_back(MakeLayer(options.model, dim_in, options.hidden_dim, rng));
-      dim_in = options.hidden_dim;
-    }
-    trainer.head_w_.push_back(RandomWeights(options.hidden_dim, num_classes, rng));
-    trainer.head_dw_.push_back(EmbeddingMatrix::Zero(options.hidden_dim, num_classes));
+    dev.model = ModelReplica::Create(options, features.dim, num_classes);
+    trainer.devices_.push_back(std::move(dev));
   }
   return trainer;
+}
+
+Status DistributedTrainer::ExchangeSlots(uint32_t layer, const std::vector<EmbeddingMatrix>& acts,
+                                         std::vector<EmbeddingMatrix>& slots) const {
+  if (engine_->options().overlap.num_chunks <= 1) {
+    std::vector<EmbeddingMatrix> exchanged;
+    {
+      DGCL_TSPAN1("trainer", "layer.allgather", "layer", layer);
+      DGCL_ASSIGN_OR_RETURN(exchanged, engine_->Forward(acts));
+    }
+    for (size_t d = 0; d < devices_.size(); ++d) {
+      slots[d] = TrimRows(exchanged[d], devices_[d].graph.num_slots);
+    }
+    return Status::Ok();
+  }
+  // Overlapped exchange: consume each chunk as its flag publishes — the
+  // first stage of aggregation (materializing the compute-side slot matrix)
+  // runs while later chunks are still on the wire, instead of after the
+  // pass barrier. Each callback fires on the receiving device's pass thread
+  // and writes only that device's matrix, so callbacks race neither with
+  // each other nor with this thread (which blocks in Forward until every
+  // pass thread has joined). Rows land via the same copies the barrier path
+  // makes, so the result is bit-identical; the neighbor-sum itself still
+  // runs after the pass because reassociating it per arrival order would
+  // break that guarantee.
+  DGCL_TSPAN1("trainer", "layer.allgather.overlap", "layer", layer);
+  for (size_t d = 0; d < devices_.size(); ++d) {
+    slots[d] = LocalRowsFirst(acts[d], devices_[d].graph);
+  }
+  auto on_chunk = [&](const ChunkArrival& a) {
+    const TransferOp& op = engine_->plan().ops[a.op];
+    const uint32_t num_slots = devices_[a.device].graph.num_slots;
+    EmbeddingMatrix& t = slots[a.device];
+    for (uint32_t i = a.row_begin; i < a.row_end; ++i) {
+      const uint32_t slot = engine_->SlotOf(a.device, op.vertices[i]);
+      if (slot < num_slots) {
+        std::copy(a.output->Row(slot), a.output->Row(slot) + a.dim, t.Row(slot));
+      }
+    }
+  };
+  return engine_->Forward(acts, on_chunk).status();
 }
 
 Result<EpochResult> DistributedTrainer::Pass(bool train, EmbeddingMatrix* all_logits,
@@ -219,16 +284,15 @@ Result<EpochResult> DistributedTrainer::Pass(bool train, EmbeddingMatrix* all_lo
     // parameter-gradient accumulations behind (weights are only touched by
     // the all-or-nothing synchronized step, so *they* are always clean).
     // Re-zero so a retried epoch reproduces a fresh one exactly.
-    for (uint32_t d = 0; d < devices; ++d) {
-      for (uint32_t l = 0; l < options_.num_layers; ++l) {
-        for (EmbeddingMatrix* g : layers_[d][l]->Grads()) {
-          std::fill(g->data.begin(), g->data.end(), 0.0f);
-        }
-      }
-      std::fill(head_dw_[d].data.begin(), head_dw_[d].data.end(), 0.0f);
+    for (DeviceState& dev : devices_) {
+      dev.model.ZeroGrads();
     }
   }
-  std::vector<EmbeddingMatrix> acts = local_features_;
+  std::vector<EmbeddingMatrix> acts;
+  acts.reserve(devices);
+  for (const DeviceState& dev : devices_) {
+    acts.push_back(dev.features);
+  }
 
   // cd-r: a training epoch is stale when it is not a multiple of r and a
   // fresh exchange has already populated the remote-row cache; it reuses the
@@ -236,38 +300,23 @@ Result<EpochResult> DistributedTrainer::Pass(bool train, EmbeddingMatrix* all_lo
   // always fresh.
   const bool stale = train && options_.aggregate_every_r > 1 &&
                      (train_epochs_ % options_.aggregate_every_r) != 0 &&
-                     !stale_remote_.empty();
+                     !devices_[0].stale_remote.empty();
 
   for (uint32_t l = 0; l < options_.num_layers; ++l) {
+    // Layer l's slot inputs, one num_slots-row matrix per device, come from a
+    // checkpoint, the cd-r cache or a fresh exchange; every way falls
+    // through to the one compute loop at the bottom. `ckpt` is looked up
+    // before this pass may save layer l, so a restore only ever reads a
+    // snapshot an earlier pass took.
+    std::vector<EmbeddingMatrix> slots(devices);
     const EmbeddingCheckpoint* ckpt =
         (hooks.checkpoints != nullptr && hooks.restore) ? hooks.checkpoints->Find(l) : nullptr;
-    if (ckpt != nullptr) {
-      // Restore path: the activations entering this layer were snapshotted by
-      // the failed pass (weights unchanged since — see ExportReplica), so the
-      // slot inputs come straight from the global checkpoint and this layer's
-      // allgather is skipped. Local compute still runs below, keeping every
-      // layer's backward cache exact.
-      DGCL_TSPAN1("recovery", "recovery.restore.layer", "layer", l);
-      for (uint32_t d = 0; d < devices; ++d) {
-        EmbeddingMatrix trimmed =
-            EmbeddingMatrix::Zero(local_graphs_[d].num_slots, ckpt->acts.dim);
-        uint32_t row = 0;
-        for (VertexId v : relation_->local_vertices[d]) {
-          std::copy(ckpt->acts.Row(v), ckpt->acts.Row(v) + ckpt->acts.dim, trimmed.Row(row++));
-        }
-        for (VertexId v : relation_->remote_vertices[d]) {
-          std::copy(ckpt->acts.Row(v), ckpt->acts.Row(v) + ckpt->acts.dim, trimmed.Row(row++));
-        }
-        acts[d] = layers_[d][l]->Forward(local_graphs_[d], trimmed);
-      }
-      continue;
-    }
     if (hooks.checkpoints != nullptr && l >= 1 && hooks.checkpoints->ShouldCheckpoint(l) &&
         hooks.checkpoints->Find(l) == nullptr) {
       // Snapshot the boundary *before* attempting the allgather: if the
       // exchange below dies, the retry resumes from this very layer.
       DGCL_TSPAN1("recovery", "recovery.checkpoint.save", "layer", l);
-      const uint32_t dim = layers_[0][l]->dim_in();
+      const uint32_t dim = devices_[0].model.layers[l]->dim_in();
       EmbeddingMatrix global =
           EmbeddingMatrix::Zero(static_cast<uint32_t>(relation_->source.size()), dim);
       for (uint32_t d = 0; d < devices; ++d) {
@@ -278,92 +327,58 @@ Result<EpochResult> DistributedTrainer::Pass(bool train, EmbeddingMatrix* all_lo
       }
       hooks.checkpoints->Save(l, std::move(global));
     }
-    if (stale) {
-      // Stale epoch: slot inputs are fresh local rows plus the remote rows
-      // cached at the last exchange; no communication for this layer.
+    if (ckpt != nullptr) {
+      // Restore path: the activations entering this layer were snapshotted by
+      // the failed pass (weights unchanged since — see ExportReplica), so the
+      // slot inputs come straight from the global checkpoint and this layer's
+      // allgather is skipped. Local compute still runs, keeping every layer's
+      // backward cache exact.
+      DGCL_TSPAN1("recovery", "recovery.restore.layer", "layer", l);
+      for (uint32_t d = 0; d < devices; ++d) {
+        slots[d] = EmbeddingMatrix::Zero(devices_[d].graph.num_slots, ckpt->acts.dim);
+        uint32_t row = 0;
+        for (VertexId v : relation_->local_vertices[d]) {
+          std::copy(ckpt->acts.Row(v), ckpt->acts.Row(v) + ckpt->acts.dim, slots[d].Row(row++));
+        }
+        for (VertexId v : relation_->remote_vertices[d]) {
+          std::copy(ckpt->acts.Row(v), ckpt->acts.Row(v) + ckpt->acts.dim, slots[d].Row(row++));
+        }
+      }
+    } else if (stale) {
+      // Stale epoch: fresh local rows plus the remote rows cached at the last
+      // exchange; no communication for this layer.
       DGCL_TSPAN1("trainer", "layer.stale_reuse", "layer", l);
       for (uint32_t d = 0; d < devices; ++d) {
-        const LocalGraph& g = local_graphs_[d];
-        const EmbeddingMatrix& cached = stale_remote_[l][d];
-        EmbeddingMatrix trimmed = EmbeddingMatrix::Zero(g.num_slots, acts[d].dim);
-        std::copy(acts[d].data.begin(),
-                  acts[d].data.begin() + static_cast<size_t>(g.num_compute) * acts[d].dim,
-                  trimmed.data.begin());
+        const EmbeddingMatrix& cached = devices_[d].stale_remote[l];
+        slots[d] = LocalRowsFirst(acts[d], devices_[d].graph);
         std::copy(cached.data.begin(), cached.data.end(),
-                  trimmed.data.begin() + static_cast<size_t>(g.num_compute) * trimmed.dim);
-        acts[d] = layers_[d][l]->Forward(g, trimmed);
+                  slots[d].data.begin() +
+                      static_cast<size_t>(devices_[d].graph.num_compute) * slots[d].dim);
       }
-      continue;
-    }
-    std::vector<EmbeddingMatrix> trimmed_slots(devices);
-    if (engine_->options().overlap.num_chunks > 1) {
-      // Overlapped exchange: consume each chunk as its flag publishes — the
-      // first stage of aggregation (materializing the compute-side slot
-      // matrix) runs while later chunks are still on the wire, instead of
-      // after the pass barrier. Each callback fires on the receiving
-      // device's pass thread and writes only that device's matrix, so
-      // callbacks race neither with each other nor with this thread (which
-      // blocks in Forward until every pass thread has joined). Rows land via
-      // the same copies the barrier path makes, so the result is
-      // bit-identical; the neighbor-sum itself still runs after the pass
-      // because reassociating it per arrival order would break that
-      // guarantee.
-      DGCL_TSPAN1("trainer", "layer.allgather.overlap", "layer", l);
-      for (uint32_t d = 0; d < devices; ++d) {
-        const LocalGraph& g = local_graphs_[d];
-        trimmed_slots[d] = EmbeddingMatrix::Zero(g.num_slots, acts[d].dim);
-        std::copy(acts[d].data.begin(),
-                  acts[d].data.begin() + static_cast<size_t>(g.num_compute) * acts[d].dim,
-                  trimmed_slots[d].data.begin());
-      }
-      auto on_chunk = [&](const ChunkArrival& a) {
-        const TransferOp& op = engine_->plan().ops[a.op];
-        const LocalGraph& g = local_graphs_[a.device];
-        EmbeddingMatrix& t = trimmed_slots[a.device];
-        for (uint32_t i = a.row_begin; i < a.row_end; ++i) {
-          const uint32_t slot = engine_->SlotOf(a.device, op.vertices[i]);
-          if (slot < g.num_slots) {
-            std::copy(a.output->Row(slot), a.output->Row(slot) + a.dim, t.Row(slot));
-          }
-        }
-      };
-      std::vector<EmbeddingMatrix> slots;
-      DGCL_ASSIGN_OR_RETURN(slots, engine_->Forward(acts, on_chunk));
     } else {
-      std::vector<EmbeddingMatrix> slots;
-      {
-        DGCL_TSPAN1("trainer", "layer.allgather", "layer", l);
-        DGCL_ASSIGN_OR_RETURN(slots, engine_->Forward(acts));
-      }
-      for (uint32_t d = 0; d < devices; ++d) {
-        trimmed_slots[d] = TrimRows(slots[d], local_graphs_[d].num_slots);
+      DGCL_RETURN_IF_ERROR(ExchangeSlots(l, acts, slots));
+      if (train && options_.aggregate_every_r > 1) {
+        // Refresh the cache the stale epochs reuse until the next exchange.
+        for (uint32_t d = 0; d < devices; ++d) {
+          const LocalGraph& g = devices_[d].graph;
+          EmbeddingMatrix cached = EmbeddingMatrix::Zero(g.num_slots - g.num_compute, slots[d].dim);
+          std::copy(slots[d].data.begin() + static_cast<size_t>(g.num_compute) * slots[d].dim,
+                    slots[d].data.end(), cached.data.begin());
+          devices_[d].stale_remote.resize(options_.num_layers);
+          devices_[d].stale_remote[l] = std::move(cached);
+        }
       }
     }
     DGCL_TSPAN1("trainer", "layer.compute", "layer", l);
     for (uint32_t d = 0; d < devices; ++d) {
-      const LocalGraph& g = local_graphs_[d];
-      EmbeddingMatrix& trimmed = trimmed_slots[d];
-      if (train && options_.aggregate_every_r > 1) {
-        // Refresh the cache the stale epochs will reuse until the next
-        // exchange.
-        if (stale_remote_.empty()) {
-          stale_remote_.resize(options_.num_layers,
-                               std::vector<EmbeddingMatrix>(devices));
-        }
-        const uint32_t remotes = g.num_slots - g.num_compute;
-        EmbeddingMatrix cached = EmbeddingMatrix::Zero(remotes, trimmed.dim);
-        std::copy(trimmed.data.begin() + static_cast<size_t>(g.num_compute) * trimmed.dim,
-                  trimmed.data.end(), cached.data.begin());
-        stale_remote_[l][d] = std::move(cached);
-      }
-      acts[d] = layers_[d][l]->Forward(g, trimmed);
+      acts[d] = devices_[d].model.layers[l]->Forward(devices_[d].graph, slots[d]);
     }
   }
 
   // Classification head and loss.
   uint32_t total_labeled = 0;
-  for (uint32_t d = 0; d < devices; ++d) {
-    total_labeled += CountLabeled(local_labels_[d]);
+  for (const DeviceState& dev : devices_) {
+    total_labeled += CountLabeled(dev.labels);
   }
   if (total_labeled == 0) {
     return Status::FailedPrecondition("no labeled vertices");
@@ -374,13 +389,14 @@ Result<EpochResult> DistributedTrainer::Pass(bool train, EmbeddingMatrix* all_lo
   std::vector<EmbeddingMatrix> logits(devices);
   double weighted_accuracy = 0.0;
   for (uint32_t d = 0; d < devices; ++d) {
-    Gemm(acts[d], head_w_[d], logits[d]);
-    const uint32_t counted = CountLabeled(local_labels_[d]);
+    const DeviceState& dev = devices_[d];
+    Gemm(acts[d], dev.model.head, logits[d]);
+    const uint32_t counted = CountLabeled(dev.labels);
     EmbeddingMatrix grad;
-    const double device_loss = SoftmaxCrossEntropy(logits[d], local_labels_[d], grad);
+    const double device_loss = SoftmaxCrossEntropy(logits[d], dev.labels, grad);
     const double share = static_cast<double>(counted) / total_labeled;
     result.loss += device_loss * share;
-    weighted_accuracy += Accuracy(logits[d], local_labels_[d]) * share;
+    weighted_accuracy += Accuracy(logits[d], dev.labels) * share;
     // Rescale from per-device mean to the global mean.
     ScaleInPlace(grad, static_cast<float>(share));
     dlogits[d] = std::move(grad);
@@ -405,10 +421,11 @@ Result<EpochResult> DistributedTrainer::Pass(bool train, EmbeddingMatrix* all_lo
   // Backward through the head.
   std::vector<EmbeddingMatrix> dacts(devices);
   for (uint32_t d = 0; d < devices; ++d) {
+    ModelReplica& model = devices_[d].model;
     EmbeddingMatrix dw;
     GemmTransposeA(acts[d], dlogits[d], dw);
-    AddInPlace(head_dw_[d], dw);
-    GemmTransposeB(dlogits[d], head_w_[d], dacts[d]);
+    AddInPlace(model.head_grad, dw);
+    GemmTransposeB(dlogits[d], model.head, dacts[d]);
   }
 
   // Backward through the GNN layers, routing remote gradients home.
@@ -417,7 +434,7 @@ Result<EpochResult> DistributedTrainer::Pass(bool train, EmbeddingMatrix* all_lo
     {
       DGCL_TSPAN1("trainer", "layer.bwd.compute", "layer", l);
       for (uint32_t d = 0; d < devices; ++d) {
-        dslots[d] = layers_[d][l]->Backward(local_graphs_[d], dacts[d]);
+        dslots[d] = devices_[d].model.layers[l]->Backward(devices_[d].graph, dacts[d]);
       }
     }
     if (stale) {
@@ -426,7 +443,7 @@ Result<EpochResult> DistributedTrainer::Pass(bool train, EmbeddingMatrix* all_lo
       // rows, and no exchange runs.
       DGCL_TSPAN1("trainer", "layer.bwd.stale_local", "layer", l);
       for (uint32_t d = 0; d < devices; ++d) {
-        dacts[d] = TrimRows(dslots[d], local_graphs_[d].num_compute);
+        dacts[d] = TrimRows(dslots[d], devices_[d].graph.num_compute);
       }
       continue;
     }
@@ -434,52 +451,27 @@ Result<EpochResult> DistributedTrainer::Pass(bool train, EmbeddingMatrix* all_lo
     DGCL_ASSIGN_OR_RETURN(dacts, engine_->Backward(dslots));
   }
 
-  // Gradient synchronization (allreduce-sum) across replicas, then step.
-  // Each device's parameter gradient is a *partial sum* over its local
-  // vertices of the globally-normalized loss, so the reduce is a sum, not a
-  // mean — summing reproduces the single-device gradient exactly.
+  // Gradient synchronization across replicas, then step: a serial sum in
+  // device order per parameter, copied back to every replica. Each device's
+  // parameter gradient is a *partial sum* over its local vertices of the
+  // globally-normalized loss, so the reduce is a sum, not a mean — summing
+  // reproduces the single-device gradient exactly.
   DGCL_TSPAN("trainer", "grad.sync");
-  auto sync = [&](std::vector<EmbeddingMatrix*> replicas) -> Status {
-    if (options_.use_ring_allreduce) {
-      DGCL_ASSIGN_OR_RETURN(AllReduceStats stats, RingAllReduceSum(std::move(replicas)));
-      (void)stats;
-      return Status::Ok();
+  std::vector<std::vector<EmbeddingMatrix*>> grads;
+  grads.reserve(devices);
+  for (DeviceState& dev : devices_) {
+    grads.push_back(dev.model.Grads());
+  }
+  for (size_t g = 0; g < grads[0].size(); ++g) {
+    for (uint32_t d = 1; d < devices; ++d) {
+      AddInPlace(*grads[0][g], *grads[d][g]);
     }
     for (uint32_t d = 1; d < devices; ++d) {
-      AddInPlace(*replicas[0], *replicas[d]);
-    }
-    for (uint32_t d = 1; d < devices; ++d) {
-      *replicas[d] = *replicas[0];
-    }
-    return Status::Ok();
-  };
-  for (uint32_t l = 0; l < options_.num_layers; ++l) {
-    const size_t grads_per_layer = layers_[0][l]->Grads().size();
-    for (size_t g = 0; g < grads_per_layer; ++g) {
-      std::vector<EmbeddingMatrix*> replicas;
-      replicas.reserve(devices);
-      for (uint32_t d = 0; d < devices; ++d) {
-        replicas.push_back(layers_[d][l]->Grads()[g]);
-      }
-      DGCL_RETURN_IF_ERROR(sync(std::move(replicas)));
-    }
-    for (uint32_t d = 0; d < devices; ++d) {
-      layers_[d][l]->Step(options_.learning_rate);
+      *grads[d][g] = *grads[0][g];
     }
   }
-  {
-    std::vector<EmbeddingMatrix*> replicas;
-    replicas.reserve(devices);
-    for (uint32_t d = 0; d < devices; ++d) {
-      replicas.push_back(&head_dw_[d]);
-    }
-    DGCL_RETURN_IF_ERROR(sync(std::move(replicas)));
-  }
-  for (uint32_t d = 0; d < devices; ++d) {
-    for (size_t i = 0; i < head_w_[d].data.size(); ++i) {
-      head_w_[d].data[i] -= options_.learning_rate * head_dw_[d].data[i];
-    }
-    head_dw_[d] = EmbeddingMatrix::Zero(options_.hidden_dim, num_classes_);
+  for (DeviceState& dev : devices_) {
+    dev.model.Step(options_.learning_rate);
   }
   return result;
 }
@@ -497,44 +489,15 @@ Result<EpochResult> DistributedTrainer::TrainEpoch(const EpochHooks& hooks) {
 Result<EpochResult> DistributedTrainer::Evaluate() { return Pass(/*train=*/false, nullptr); }
 
 ReplicaWeights DistributedTrainer::ExportReplica(uint32_t device) {
-  DGCL_CHECK(device < layers_.size());
-  ReplicaWeights weights;
-  weights.layers.reserve(options_.num_layers);
-  for (uint32_t l = 0; l < options_.num_layers; ++l) {
-    std::vector<EmbeddingMatrix> params;
-    for (EmbeddingMatrix* p : layers_[device][l]->Params()) {
-      params.push_back(*p);
-    }
-    weights.layers.push_back(std::move(params));
-  }
-  weights.head = head_w_[device];
-  return weights;
+  DGCL_CHECK(device < devices_.size());
+  return devices_[device].model.Export();
 }
 
 Status DistributedTrainer::ImportReplica(const ReplicaWeights& weights) {
-  if (weights.layers.size() != options_.num_layers) {
-    return Status::InvalidArgument("ImportReplica: layer count mismatch");
-  }
-  for (uint32_t d = 0; d < layers_.size(); ++d) {
-    for (uint32_t l = 0; l < options_.num_layers; ++l) {
-      std::vector<EmbeddingMatrix*> params = layers_[d][l]->Params();
-      if (params.size() != weights.layers[l].size()) {
-        return Status::InvalidArgument("ImportReplica: param count mismatch at layer " +
-                                       std::to_string(l));
-      }
-      for (size_t g = 0; g < params.size(); ++g) {
-        if (params[g]->rows != weights.layers[l][g].rows ||
-            params[g]->dim != weights.layers[l][g].dim) {
-          return Status::InvalidArgument("ImportReplica: shape mismatch at layer " +
-                                         std::to_string(l));
-        }
-        *params[g] = weights.layers[l][g];
-      }
-    }
-    if (head_w_[d].rows != weights.head.rows || head_w_[d].dim != weights.head.dim) {
-      return Status::InvalidArgument("ImportReplica: head shape mismatch");
-    }
-    head_w_[d] = weights.head;
+  // Every replica has the same shapes, so the first Import's checks cover
+  // them all: a mismatch returns before any replica is written.
+  for (DeviceState& dev : devices_) {
+    DGCL_RETURN_IF_ERROR(dev.model.Import(weights));
   }
   return Status::Ok();
 }

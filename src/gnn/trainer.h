@@ -4,8 +4,8 @@
 // for each layer, run graphAllgather to materialize remote embeddings, do the
 // graph aggregation + DNN update on local rows, and drop the remote rows
 // before the next dense op. The backward pass routes remote-vertex gradients
-// back to their owners through the same plan in reverse. Model weights are
-// replicated and gradient-averaged across devices every step (the paper
+// back to their owners through the same plan in reverse. Each device holds a
+// ModelReplica; gradients are summed across replicas every step (the paper
 // defers this to Horovod/DDP; GNN weights are small).
 //
 // Device math runs sequentially in the calling thread (the per-device model
@@ -33,10 +33,6 @@ struct TrainerOptions {
   uint32_t hidden_dim = 16;
   float learning_rate = 0.5f;
   uint64_t weight_seed = 123;  // identical across devices (replicated model)
-  // Synchronize gradients with the ring all-reduce (runtime/allreduce.h)
-  // instead of a naive sequential sum. Same result up to float summation
-  // order; this is what Horovod/DDP would do on real hardware (§6.3).
-  bool use_ring_allreduce = false;
 
   // DistGNN-style cd-r delayed remote aggregation: cross-partition
   // allgathers run only every r-th training epoch; the r-1 epochs in
@@ -59,6 +55,35 @@ struct EpochResult {
 struct ReplicaWeights {
   std::vector<std::vector<EmbeddingMatrix>> layers;  // [layer][param]
   EmbeddingMatrix head;
+};
+
+// One replica of the trained model: the GNN layer stack, the dense
+// classification head and the head's gradient. Every trainer builds its
+// replicas here — MiniBatchModel holds one, DistributedTrainer one per
+// device — so replicas created with equal options and dimensions start
+// from bit-identical weights.
+struct ModelReplica {
+  // The seeded stack (MakeLayerStack), then the head, all drawn from one Rng
+  // seeded with options.weight_seed.
+  static ModelReplica Create(const TrainerOptions& options, uint32_t feature_dim,
+                             uint32_t num_classes);
+
+  // Every parameter gradient: each layer's Grads() in layer order, then the
+  // head's. Position i is the same parameter on every replica, so gradient
+  // sync sums position i across replicas.
+  std::vector<EmbeddingMatrix*> Grads();
+  void ZeroGrads();
+  // SGD step with the accumulated gradients, then clears them.
+  void Step(float learning_rate);
+
+  ReplicaWeights Export();
+  // Checks every layer's parameter count and shapes and the head's shape
+  // before writing anything: on InvalidArgument the replica is unchanged.
+  Status Import(const ReplicaWeights& weights);
+
+  std::vector<std::unique_ptr<GnnLayer>> layers;
+  EmbeddingMatrix head;       // [hidden_dim x num_classes]
+  EmbeddingMatrix head_grad;  // same shape
 };
 
 // Optional per-epoch recovery plumbing for TrainEpoch. With `checkpoints`
@@ -86,10 +111,9 @@ struct EpochHooks {
 // service/minibatch_trainer.h).
 class MiniBatchModel {
  public:
-  // Same weight initialization as DistributedTrainer::Create with one
-  // device: identically-seeded stacks produce identical replicas, so a
-  // MiniBatchModel and a full-graph trainer with equal options start from
-  // the same weights.
+  // The replica comes from ModelReplica::Create, as each of
+  // DistributedTrainer's does, so a MiniBatchModel and a full-graph trainer
+  // with equal options start from the same weights.
   static Result<MiniBatchModel> Create(uint32_t feature_dim, uint32_t num_classes,
                                        TrainerOptions options);
 
@@ -104,9 +128,10 @@ class MiniBatchModel {
   Result<EpochResult> Evaluate(const LocalGraph& block, const EmbeddingMatrix& inputs,
                                const std::vector<uint32_t>& labels);
 
-  // PR-5 checkpoint machinery: same shapes as DistributedTrainer's replicas.
-  ReplicaWeights ExportReplica();
-  Status ImportReplica(const ReplicaWeights& weights);
+  // Checkpoint round trip: same shapes as DistributedTrainer's replicas.
+  // ImportReplica is all-or-nothing (ModelReplica::Import).
+  ReplicaWeights ExportReplica() { return model_.Export(); }
+  Status ImportReplica(const ReplicaWeights& weights) { return model_.Import(weights); }
 
  private:
   MiniBatchModel() = default;
@@ -115,10 +140,7 @@ class MiniBatchModel {
                            const std::vector<uint32_t>& labels);
 
   TrainerOptions options_;
-  uint32_t num_classes_ = 0;
-  std::vector<std::unique_ptr<GnnLayer>> layers_;
-  EmbeddingMatrix head_w_;
-  EmbeddingMatrix head_dw_;
+  ModelReplica model_;
 };
 
 class DistributedTrainer {
@@ -144,45 +166,48 @@ class DistributedTrainer {
   // Final-layer logits for every global vertex (row = global vertex id).
   Result<EmbeddingMatrix> Logits();
 
-  // Introspection (tests, replica-consistency checks).
-  GnnLayer& layer(uint32_t device, uint32_t index) { return *layers_[device][index]; }
-  const EmbeddingMatrix& head_weights(uint32_t device) const { return head_w_[device]; }
-
   // Snapshot of `device`'s replica weights (== every replica's: weights only
   // ever change inside a fully-completed synchronized step, so at any failure
   // point every replica still holds the epoch-start weights).
   ReplicaWeights ExportReplica(uint32_t device = 0);
 
-  // Overwrites every replica with `weights`. Shapes must match the model.
+  // Overwrites every replica with `weights`, all-or-nothing: on a shape
+  // mismatch no replica changes.
   Status ImportReplica(const ReplicaWeights& weights);
 
  private:
+  // Everything device d owns: its slice of the graph, features and labels,
+  // its model replica, and the cd-r cache (aggregate_every_r > 1) of its
+  // remote slot rows [num_compute, num_slots) per layer, taken at the last
+  // fresh exchange and empty until the first one.
+  struct DeviceState {
+    LocalGraph graph;
+    EmbeddingMatrix features;
+    std::vector<uint32_t> labels;
+    ModelReplica model;
+    std::vector<EmbeddingMatrix> stale_remote;  // [layer]
+  };
+
   DistributedTrainer() = default;
 
-  // Runs forward to logits per device; when `grads` is non-null also runs
-  // backward and fills per-layer gradient averaging + step.
+  // Forward to logits on every device, writing the global logits to
+  // `all_logits` when it is non-null. A training pass also runs backward,
+  // syncs the gradients and steps every replica.
   Result<EpochResult> Pass(bool train, EmbeddingMatrix* all_logits,
                            const EpochHooks& hooks = {});
+
+  // Layer `layer`'s fresh exchange: allgathers `acts` and fills `slots[d]`
+  // (num_slots rows) for every device.
+  Status ExchangeSlots(uint32_t layer, const std::vector<EmbeddingMatrix>& acts,
+                       std::vector<EmbeddingMatrix>& slots) const;
 
   const CommRelation* relation_ = nullptr;
   const AllgatherEngine* engine_ = nullptr;
   TrainerOptions options_;
   uint32_t num_classes_ = 0;
-
-  std::vector<LocalGraph> local_graphs_;                  // per device
-  std::vector<EmbeddingMatrix> local_features_;           // per device
-  std::vector<std::vector<uint32_t>> local_labels_;       // per device
-  // layers_[d][l]: layer l of device d's replica.
-  std::vector<std::vector<std::unique_ptr<GnnLayer>>> layers_;
-  // Classification head (dense, local rows only), replicated per device.
-  std::vector<EmbeddingMatrix> head_w_;
-  std::vector<EmbeddingMatrix> head_dw_;
-
-  // cd-r state (aggregate_every_r > 1): completed training epochs, and the
-  // remote slot rows [num_local, num_slots) cached per (layer, device) at
-  // the last fresh exchange. Empty until the first fresh epoch populates it.
+  std::vector<DeviceState> devices_;
+  // Completed training epochs (drives the cd-r schedule).
   uint64_t train_epochs_ = 0;
-  std::vector<std::vector<EmbeddingMatrix>> stale_remote_;  // [layer][device]
 };
 
 }  // namespace dgcl

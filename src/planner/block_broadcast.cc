@@ -73,13 +73,12 @@ Result<ClassPlan> BlockBroadcastPlanner::PlanClasses(const CommClasses& classes,
         if (variant == BroadcastVariant::k1D) {
           return AppendBinomial(topo, cls.source, 0, dests, options.fanout, tree);
         }
-        // 1.5D: destinations grouped into replication groups; the block
-        // crosses the inter-group medium once per group (to the leader, the
-        // lowest destination id of the group), then fans out inside the
-        // group with the binomial schedule.
-        auto group_of = [&topo, &options](uint32_t device) -> uint64_t {
-          const Device& d = topo.device(device);
-          return options.group_by_socket ? (uint64_t{d.machine} << 32 | d.socket) : d.machine;
+        // 1.5D: destinations grouped by machine; the block crosses the
+        // inter-machine medium once per group (to the leader, the lowest
+        // destination id of the group), then fans out inside the group with
+        // the binomial schedule.
+        auto group_of = [&topo](uint32_t device) -> uint64_t {
+          return topo.device(device).machine;
         };
         const uint64_t source_group = group_of(cls.source);
         // Groups in ascending (group key, member id) order; dests is sorted.

@@ -15,10 +15,9 @@
 //    stages, far less per-stage bottleneck pressure.
 //
 //  * broadcast-1.5d — the replication-group variant: destinations are grouped
-//    by replication group (machine by default, socket under
-//    BroadcastOptions::group_by_socket), the source sends the block once to
-//    each group's leader, and leaders run the binomial broadcast inside their
-//    group. Cross-group media (the NIC between machines) carry each block
+//    by replication group (their machine), the source sends the block once
+//    to each group's leader, and leaders run the binomial broadcast inside
+//    their group. Cross-group media (the NIC between machines) carry each block
 //    once per group instead of once per destination — CAGNET's c-fold
 //    communication reduction with c = devices per group.
 //
@@ -39,11 +38,6 @@ struct BroadcastOptions {
   // values flatten the tree toward the P2P star at the cost of per-stage
   // fan-out contention.
   uint32_t fanout = 1;
-
-  // 1.5D only: group destinations by (machine, socket) instead of machine —
-  // for single-machine topologies where the QPI hop between sockets is the
-  // scarce medium, the way the NIC is across machines.
-  bool group_by_socket = false;
 
   bool operator==(const BroadcastOptions&) const = default;
 

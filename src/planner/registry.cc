@@ -6,13 +6,6 @@
 #include "planner/baselines.h"
 
 namespace dgcl {
-namespace {
-
-std::string NormalizeName(const std::string& name) {
-  return name == "peer-to-peer" ? "p2p" : name;
-}
-
-}  // namespace
 
 Status PlannerOptions::Validate() const {
   if (strategy.empty()) {
@@ -27,15 +20,7 @@ Status PlannerOptions::Validate() const {
         }() +
         ") or \"auto\"");
   }
-  if (auto_select && strategy != "auto" && strategy != "spst") {
-    // "spst" is the default spelling, so auto_select=true with an untouched
-    // strategy field means auto; any other explicit strategy contradicts it.
-    return Status::InvalidArgument("PlannerOptions::auto_select is set but strategy forces \"" +
-                                   strategy +
-                                   "\"; drop one of the two (auto_select selects the cost-model "
-                                   "winner across every registered strategy)");
-  }
-  if (strategy != "auto" && !PlannerRegistry::Global().Contains(NormalizeName(strategy))) {
+  if (strategy != "auto" && !PlannerRegistry::Global().Contains(strategy)) {
     std::string names;
     for (const std::string& n : PlannerRegistry::Global().Names()) {
       names += names.empty() ? n : ", " + n;
@@ -95,7 +80,7 @@ Status PlannerRegistry::Register(const std::string& name, PlannerFactory factory
 
 bool PlannerRegistry::Contains(const std::string& name) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return factories_.count(NormalizeName(name)) != 0;
+  return factories_.count(name) != 0;
 }
 
 Result<std::unique_ptr<Planner>> PlannerRegistry::Create(const std::string& name,
@@ -103,7 +88,7 @@ Result<std::unique_ptr<Planner>> PlannerRegistry::Create(const std::string& name
   PlannerFactory factory;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    auto it = factories_.find(NormalizeName(name));
+    auto it = factories_.find(name);
     if (it == factories_.end()) {
       std::string names;
       for (const auto& [n, f] : factories_) {

@@ -39,13 +39,10 @@ struct PlannerOptions {
   std::string strategy = "spst";
   SpstOptions spst;            // consumed by the "spst" strategy
   BroadcastOptions broadcast;  // consumed by the "broadcast-*" strategies
-  // Convenience alias for strategy = "auto" (the two spellings must agree:
-  // auto_select together with a forced non-auto strategy is rejected).
-  bool auto_select = false;
 
-  bool IsAuto() const { return auto_select || strategy == "auto"; }
+  bool IsAuto() const { return strategy == "auto"; }
 
-  // Rejects empty/unknown strategy names and contradictory knobs with
+  // Rejects empty/unknown strategy names and bad strategy knobs with
   // actionable messages; called by DgclOptions::Validate at Init so a bad
   // config never reaches the planning pipeline.
   Status Validate() const;
@@ -65,8 +62,7 @@ class PlannerRegistry {
 
   bool Contains(const std::string& name) const;
 
-  // Instantiates the named strategy. "peer-to-peer" is accepted as an alias
-  // of "p2p" (the planner's pre-registry display name).
+  // Instantiates the named strategy.
   Result<std::unique_ptr<Planner>> Create(const std::string& name,
                                           const PlannerOptions& options) const;
 

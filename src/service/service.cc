@@ -181,7 +181,7 @@ Result<std::unique_ptr<GraphService>> GraphService::Create(const CsrGraph& graph
     service->samplers_.emplace(name, std::move(entry));
   }
   service->default_sampler_ = &service->samplers_.at(options.sampler);
-  service->sync_layers_ = service->MakeLayerStack();
+  service->sync_layers_ = service->InferenceStack();
   return service;
 }
 
@@ -429,7 +429,7 @@ ServiceStats GraphService::stats() const {
 }
 
 void GraphService::WorkerLoop(uint32_t shard, uint32_t replica) {
-  std::vector<std::unique_ptr<GnnLayer>> layers = MakeLayerStack();
+  std::vector<std::unique_ptr<GnnLayer>> layers = InferenceStack();
   BoundedQueue<SampleRequest>& queue = *request_queues_[QueueIndex(shard, replica)];
   const uint64_t poll_micros = std::min<uint64_t>(options_.request_deadline_micros, kMaxPollMicros);
   while (true) {
@@ -615,19 +615,13 @@ Status GraphService::AssembleFeatures(uint32_t home, uint32_t replica,
   return Status::Ok();
 }
 
-std::vector<std::unique_ptr<GnnLayer>> GraphService::MakeLayerStack() const {
+std::vector<std::unique_ptr<GnnLayer>> GraphService::InferenceStack() const {
   // Every stack is seeded identically, so all workers (and the sync path)
   // hold replica weights — inference output is a pure function of the
   // request, whichever worker serves it.
   Rng rng(options_.weight_seed);
-  std::vector<std::unique_ptr<GnnLayer>> layers;
-  layers.reserve(options_.num_layers);
-  uint32_t dim_in = options_.feature_dim;
-  for (uint32_t layer = 0; layer < options_.num_layers; ++layer) {
-    layers.push_back(MakeLayer(options_.model, dim_in, options_.hidden_dim, rng));
-    dim_in = options_.hidden_dim;
-  }
-  return layers;
+  return MakeLayerStack(options_.model, options_.feature_dim, options_.hidden_dim,
+                        options_.num_layers, rng);
 }
 
 std::vector<uint32_t> GraphService::DeadSuspects() const {

@@ -270,7 +270,9 @@ class GraphService {
   // owner.
   Status AssembleFeatures(uint32_t home, uint32_t replica, const std::vector<VertexId>& nodes,
                           EmbeddingMatrix& slots, SampleResponse& response);
-  std::vector<std::unique_ptr<GnnLayer>> MakeLayerStack() const;
+  // A fresh inference stack (MakeLayerStack seeded with weight_seed): one
+  // per worker thread, plus the sync path's.
+  std::vector<std::unique_ptr<GnnLayer>> InferenceStack() const;
   DeviceMask AliveMask() const { return alive_.load(std::memory_order_acquire); }
   std::vector<uint32_t> DeadSuspects() const;
   // kUnavailable response for a request whose home shard is dead.

@@ -168,13 +168,6 @@ TEST(DgclApiTest, InitValidatesOptions) {
   }
   {
     DgclOptions options;
-    options.planner.strategy = "ring";
-    options.planner.auto_select = true;  // contradictory knobs
-    EXPECT_EQ(DgclContext::Init(BuildPaperTopology(4), options).status().code(),
-              StatusCode::kInvalidArgument);
-  }
-  {
-    DgclOptions options;
     options.planner.broadcast.fanout = 0;
     EXPECT_EQ(DgclContext::Init(BuildPaperTopology(4), options).status().code(),
               StatusCode::kInvalidArgument);

@@ -164,8 +164,6 @@ TEST(PlannerRegistryTest, BuiltinsRegistered) {
        {"spst", "p2p", "swap", "ring", "broadcast-1d", "broadcast-1.5d"}) {
     EXPECT_TRUE(PlannerRegistry::Global().Contains(required)) << required;
   }
-  // Display-name alias of the pre-registry API.
-  EXPECT_TRUE(PlannerRegistry::Global().Contains("peer-to-peer"));
 }
 
 TEST(PlannerRegistryTest, RejectsBadRegistrations) {
@@ -198,15 +196,12 @@ TEST(PlannerOptionsTest, ValidateRejectsBadConfigs) {
   o.broadcast.fanout = 1;
   EXPECT_TRUE(o.Validate().ok());
 
-  // auto_select with a forced strategy is contradictory; with the default
-  // or explicit "auto" spelling it is fine.
-  o.auto_select = true;
-  EXPECT_FALSE(o.Validate().ok());
   o.strategy = "auto";
   EXPECT_TRUE(o.Validate().ok());
+  EXPECT_TRUE(o.IsAuto());
   o.strategy = "spst";
   EXPECT_TRUE(o.Validate().ok());
-  EXPECT_TRUE(o.IsAuto());
+  EXPECT_FALSE(o.IsAuto());
 }
 
 TEST(AutoSelectTest, PicksCostModelWinnerAndReportsAllCandidates) {

@@ -1,6 +1,7 @@
 #include "gnn/trainer.h"
 
 #include <cmath>
+#include <cstring>
 
 #include <gtest/gtest.h>
 
@@ -162,28 +163,132 @@ TEST(TrainerTest, RejectsBadInputs) {
           .ok());
 }
 
-TEST(TrainerTest, RingAllreduceSyncTrainsEquivalently) {
-  World w = World::Make(4, 53);
+// Bitwise equality of two replicas' weights.
+bool SameBits(const EmbeddingMatrix& a, const EmbeddingMatrix& b) {
+  return a.rows == b.rows && a.dim == b.dim && a.data.size() == b.data.size() &&
+         std::memcmp(a.data.data(), b.data.data(), a.data.size() * sizeof(float)) == 0;
+}
+
+bool SameWeights(const ReplicaWeights& a, const ReplicaWeights& b) {
+  if (a.layers.size() != b.layers.size() || !SameBits(a.head, b.head)) {
+    return false;
+  }
+  for (size_t l = 0; l < a.layers.size(); ++l) {
+    if (a.layers[l].size() != b.layers[l].size()) {
+      return false;
+    }
+    for (size_t g = 0; g < a.layers[l].size(); ++g) {
+      if (!SameBits(a.layers[l][g], b.layers[l][g])) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+// `w` with every layer-0 weight shifted, so a partial import shows.
+ReplicaWeights ShiftLayerZero(ReplicaWeights w) {
+  for (EmbeddingMatrix& p : w.layers[0]) {
+    for (float& x : p.data) {
+      x += 1.0f;
+    }
+  }
+  return w;
+}
+
+// MiniBatchModel::Create and DistributedTrainer::Create with equal options
+// start from bit-identical weights on every device, and those weights are
+// the seeded stack (layers in order) followed by the head from the same Rng.
+TEST(ModelReplicaTest, MiniBatchModelAndEveryDeviceStartIdentical) {
+  World w = World::Make(4, 83);
   auto engine = AllgatherEngine::Create(w.relation, w.plan, w.topo);
   ASSERT_TRUE(engine.ok());
-  TrainerOptions naive_opts;
-  naive_opts.hidden_dim = 12;
-  naive_opts.learning_rate = 0.4f;
-  TrainerOptions ring_opts = naive_opts;
-  ring_opts.use_ring_allreduce = true;
-  auto naive = DistributedTrainer::Create(w.graph, w.relation, *engine, w.features, w.labels,
-                                          w.num_classes, naive_opts);
-  auto ring = DistributedTrainer::Create(w.graph, w.relation, *engine, w.features, w.labels,
-                                         w.num_classes, ring_opts);
-  ASSERT_TRUE(naive.ok());
-  ASSERT_TRUE(ring.ok());
-  for (int epoch = 0; epoch < 10; ++epoch) {
-    auto a = naive->TrainEpoch();
-    auto b = ring->TrainEpoch();
-    ASSERT_TRUE(a.ok());
-    ASSERT_TRUE(b.ok());
-    // Same sums up to float ordering: losses track closely.
-    EXPECT_NEAR(a->loss, b->loss, 1e-2 * (1.0 + a->loss)) << "epoch " << epoch;
+  for (GnnModel model : {GnnModel::kGcn, GnnModel::kCommNet, GnnModel::kGin, GnnModel::kGat}) {
+    TrainerOptions opts;
+    opts.model = model;
+    opts.num_layers = 3;
+    opts.hidden_dim = 12;
+    opts.weight_seed = 97;
+    auto mini = MiniBatchModel::Create(w.features.dim, w.num_classes, opts);
+    auto trainer = DistributedTrainer::Create(w.graph, w.relation, *engine, w.features, w.labels,
+                                              w.num_classes, opts);
+    ASSERT_TRUE(mini.ok());
+    ASSERT_TRUE(trainer.ok());
+    const ReplicaWeights reference = mini->ExportReplica();
+    for (uint32_t d = 0; d < w.relation.num_devices; ++d) {
+      EXPECT_TRUE(SameWeights(reference, trainer->ExportReplica(d)))
+          << GnnModelName(model) << " device " << d;
+    }
+
+    Rng rng(opts.weight_seed);
+    std::vector<std::unique_ptr<GnnLayer>> stack =
+        MakeLayerStack(model, w.features.dim, opts.hidden_dim, opts.num_layers, rng);
+    const EmbeddingMatrix head = RandomWeights(opts.hidden_dim, w.num_classes, rng);
+    ASSERT_EQ(reference.layers.size(), stack.size());
+    for (size_t l = 0; l < stack.size(); ++l) {
+      const std::vector<EmbeddingMatrix*> params = stack[l]->Params();
+      ASSERT_EQ(reference.layers[l].size(), params.size());
+      for (size_t g = 0; g < params.size(); ++g) {
+        EXPECT_TRUE(SameBits(reference.layers[l][g], *params[g]))
+            << GnnModelName(model) << " layer " << l << " param " << g;
+      }
+    }
+    EXPECT_TRUE(SameBits(reference.head, head)) << GnnModelName(model);
+  }
+}
+
+// A wrong shape anywhere rejects the whole import before any weight is
+// written: layer 0 (valid, but shifted) must not land when layer 1 or the
+// head is malformed.
+TEST(ModelReplicaTest, MiniBatchImportIsAllOrNothing) {
+  TrainerOptions opts;
+  opts.num_layers = 2;
+  auto mini = MiniBatchModel::Create(8, 4, opts);
+  ASSERT_TRUE(mini.ok());
+  const ReplicaWeights before = mini->ExportReplica();
+
+  ReplicaWeights bad_layer = ShiftLayerZero(before);
+  bad_layer.layers[1][0] = EmbeddingMatrix::Zero(bad_layer.layers[1][0].rows + 1,
+                                                 bad_layer.layers[1][0].dim);
+  EXPECT_EQ(mini->ImportReplica(bad_layer).code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(SameWeights(before, mini->ExportReplica()));
+
+  ReplicaWeights bad_head = ShiftLayerZero(before);
+  bad_head.head = EmbeddingMatrix::Zero(bad_head.head.rows, bad_head.head.dim + 1);
+  EXPECT_EQ(mini->ImportReplica(bad_head).code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(SameWeights(before, mini->ExportReplica()));
+
+  const ReplicaWeights shifted = ShiftLayerZero(before);
+  ASSERT_TRUE(mini->ImportReplica(shifted).ok());
+  EXPECT_TRUE(SameWeights(shifted, mini->ExportReplica()));
+}
+
+TEST(ModelReplicaTest, DistributedImportIsAllOrNothing) {
+  World w = World::Make(4, 89);
+  auto engine = AllgatherEngine::Create(w.relation, w.plan, w.topo);
+  ASSERT_TRUE(engine.ok());
+  TrainerOptions opts;
+  opts.num_layers = 2;
+  auto trainer = DistributedTrainer::Create(w.graph, w.relation, *engine, w.features, w.labels,
+                                            w.num_classes, opts);
+  ASSERT_TRUE(trainer.ok());
+  const ReplicaWeights before = trainer->ExportReplica();
+
+  ReplicaWeights bad_layer = ShiftLayerZero(before);
+  bad_layer.layers[1][0] = EmbeddingMatrix::Zero(bad_layer.layers[1][0].rows,
+                                                 bad_layer.layers[1][0].dim + 1);
+  EXPECT_EQ(trainer->ImportReplica(bad_layer).code(), StatusCode::kInvalidArgument);
+  ReplicaWeights bad_head = ShiftLayerZero(before);
+  bad_head.head = EmbeddingMatrix::Zero(bad_head.head.rows + 1, bad_head.head.dim);
+  EXPECT_EQ(trainer->ImportReplica(bad_head).code(), StatusCode::kInvalidArgument);
+  for (uint32_t d = 0; d < w.relation.num_devices; ++d) {
+    EXPECT_TRUE(SameWeights(before, trainer->ExportReplica(d))) << "device " << d;
+  }
+
+  const ReplicaWeights shifted = ShiftLayerZero(before);
+  ASSERT_TRUE(trainer->ImportReplica(shifted).ok());
+  for (uint32_t d = 0; d < w.relation.num_devices; ++d) {
+    EXPECT_TRUE(SameWeights(shifted, trainer->ExportReplica(d))) << "device " << d;
   }
 }
 
